@@ -45,12 +45,11 @@ def _load_module(path: str) -> md.ModuleRep:
     override = os.environ.get("PMC_PRECISION")
     if override:
         lines = text.splitlines()
-        toks = []
-        for tok in lines[0].split():
-            if tok.startswith("N="):
-                tok = f"N={int(override)}"
-            toks.append(tok)
-        lines[0] = " ".join(toks)
+        for k, ln in enumerate(lines):
+            if ln.strip() and not ln.strip().startswith("#"):  # the `ring ...` header
+                lines[k] = " ".join(f"N={int(override)}" if tok.startswith("N=") else tok
+                                    for tok in ln.split())
+                break
         text = "\n".join(lines)
     return md.parse_module_text(text)
 

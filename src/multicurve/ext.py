@@ -77,15 +77,6 @@ class ResolutionData:
                     if not acc.is_zero():
                         raise ShapeError("resolution is not a complex: M1*M2 != 0")
 
-    def pretty(self) -> str:
-        def fmt(mat):
-            rows = [[str(e) for e in row] for row in mat]
-            w = max(len(s) for row in rows for s in row)
-            return "\n".join("  [ " + " | ".join(s.rjust(w) for s in row) + " ]" for row in rows)
-
-        return (f"f = ({', '.join(str(e) for e in self.f)})\n"
-                f"M1 =\n{fmt(self.M1)}\nM2 =\n{fmt(self.M2)}")
-
 
 def ext1_special_closed_form(n: int, jump: int, b: int) -> int:
     return 2 * min(jump, n - jump) * b

@@ -1,7 +1,15 @@
 """Exact linear algebra over a prime field F_p, backed by int64 numpy arrays.
 
-All matrices hold residues in [0, p).  With p < 2^16 every product fits in
-int64 with room to spare, so no computation here ever rounds.
+Everything here derives from one Gauss-Jordan routine, `_rref`: `Subspace`
+keeps its basis in the reduced row echelon form that `_rref` returns, and
+`nullspace` and `rank` read their answers off it.
+
+Exactness: all matrices hold residues in [0, p), and p < 2^16 (RingParams
+enforces it).  The largest intermediate value is an accumulated product of
+K residues, at most K * (p - 1)^2 < K * 2^32, which is exact in int64 for
+every inner dimension K < 2^31.  Products are therefore taken in int64,
+never in float64 (exact only while K * (p - 1)^2 < 2^53, i.e. K < 2^21 at
+p = 65521), so no computation here ever rounds.
 """
 
 from __future__ import annotations
@@ -14,11 +22,68 @@ def mod_inv(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
+def _rref(mat, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of mat over F_p: (nonzero rows, pivot columns).
+
+    The rows have unit pivots in strictly increasing columns and zeros in
+    every other row's pivot column, so the result depends only on the row
+    space of mat.
+    """
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p
+    m = a.shape[0]
+    pivots: list[int] = []
+    # row operations never fill a zero column, so only these can hold a pivot
+    for c in a.any(axis=0).nonzero()[0]:
+        r = len(pivots)
+        if r == m:
+            break
+        below = a[r:, c].nonzero()[0]
+        if below.size == 0:
+            continue
+        i = r + int(below[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        # rows r.. vanish left of c, so the updates start at column c
+        if a[r, c] != 1:
+            a[r, c:] = (a[r, c:] * mod_inv(a[r, c], p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(int(c))
+    return a[: len(pivots)], np.array(pivots, dtype=np.int64)
+
+
+def _subtract_product(out: np.ndarray, coef: np.ndarray, basis: np.ndarray, p: int) -> None:
+    """out <- (out - coef @ basis) mod p, in place.
+
+    The coefficients are mostly zero (basis rows of x,y-closed spaces are
+    nearly monomial), so only the basis rows they touch are summed, grouped by
+    target row.  That temporary has one row per nonzero coefficient; past
+    four per target row the plain product is taken instead.
+    """
+    i, j = coef.nonzero()
+    if i.size > 4 * out.shape[0]:
+        out -= coef @ basis
+    elif i.size:
+        first = np.flatnonzero(np.diff(i, prepend=-1))  # i is sorted
+        out[i[first]] -= np.add.reduceat(coef[i, j, None] * basis[j], first)
+    out %= p
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class Subspace:
     """A subspace of F_p^width stored as a reduced row echelon basis.
 
     Rows are kept with strictly increasing pivot columns, unit pivots and
     zeros above each pivot, so equal subspaces have identical `rows` arrays.
+    The arrays are read-only and replaced, never changed, by `insert`; copies
+    share them.
     """
 
     __slots__ = ("p", "width", "_rows", "_pivots")
@@ -26,147 +91,85 @@ class Subspace:
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
+        self._rows = _frozen(np.zeros((0, width), dtype=np.int64))
+        self._pivots = _frozen(np.zeros(0, dtype=np.int64))
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._rows.shape[0]
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(self._pivots.tolist())
 
     def rows(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.array(self._rows, dtype=np.int64)
+        return self._rows
 
     def copy(self) -> "Subspace":
         dup = Subspace(self.p, self.width)
-        dup._rows = [r.copy() for r in self._rows]
-        dup._pivots = list(self._pivots)
+        dup._rows, dup._pivots = self._rows, self._pivots
         return dup
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Residue of vec modulo the row space."""
-        p = self.p
-        v = np.asarray(vec, dtype=np.int64) % p
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % p
-        return v
+    def reduce(self, rows) -> np.ndarray:
+        """Residues of a vector or a block of rows modulo the row space.
+
+        With the basis in RREF the residue is one product: subtract the
+        basis rows weighted by the entries at their pivot columns.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.atleast_2d(rows) % self.p
+        _subtract_product(out, out[:, self._pivots], self._rows, self.p)
+        return out.reshape(rows.shape)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
 
-    def insert(self, vec) -> bool:
-        """Add vec to the space. Returns True if the dimension grew."""
-        v = self.reduce(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+    def insert(self, rows) -> bool:
+        """Add a block of rows to the space. Returns True if the dimension grew."""
+        new, piv = _rref(self.reduce(np.atleast_2d(rows)), self.p)
+        if not piv.size:
             return False
-        piv = int(nz[0])
-        v = (v * mod_inv(int(v[piv]), self.p)) % self.p
-        # clear the new pivot column in the old rows
-        for i, row in enumerate(self._rows):
-            c = row[piv]
-            if c:
-                self._rows[i] = (row - c * v) % self.p
-        at = np.searchsorted(np.array(self._pivots, dtype=np.int64), piv) if self._pivots else 0
-        self._rows.insert(int(at), v)
-        self._pivots.insert(int(at), piv)
+        # the new rows vanish at the old pivots; clear the new pivots in the old rows
+        old = self._rows
+        if old[:, piv].any():
+            old = old.copy()
+            _subtract_product(old, old[:, piv], new, self.p)
+        at = np.searchsorted(self._pivots, piv)
+        self._rows = _frozen(np.insert(old, at, new, axis=0))
+        self._pivots = _frozen(np.insert(self._pivots, at, piv))
         return True
 
-    def extend(self, mat) -> None:
-        for row in np.atleast_2d(np.asarray(mat, dtype=np.int64)):
-            self.insert(row)
-
     def leq(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self._rows)
+        return not other.reduce(self._rows).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         if (self.p, self.width, self.dim) != (other.p, other.width, other.dim):
             return False
-        return bool(np.array_equal(self.rows(), other.rows()))
+        return bool(np.array_equal(self._rows, other._rows))
 
     def __hash__(self):
-        return hash((self.p, self.width, self.rows().tobytes()))
+        return hash((self.p, self.width, self._rows.tobytes()))
 
 
 def span(mat, p: int, width: int | None = None) -> Subspace:
     mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    if width is None:
-        width = mat.shape[1]
-    sub = Subspace(p, width)
-    sub.extend(mat)
+    sub = Subspace(p, mat.shape[1] if width is None else width)
+    sub.insert(mat)
     return sub
 
 
-def reduce_columns(sub: Subspace, mat: np.ndarray) -> np.ndarray:
-    """Reduce every column of mat modulo the row space of sub."""
-    p = sub.p
-    out = np.asarray(mat, dtype=np.int64) % p
-    for row, piv in zip(sub._rows, sub._pivots):
-        coef = out[piv, :].copy()
-        if coef.any():
-            out = (out - np.outer(row, coef)) % p
-    return out
-
-
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : mat @ x = 0 mod p}."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p
-    m, k = a.shape
-    a = a.copy()
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        rows_nz = np.flatnonzero(a[r:, c])
-        if rows_nz.size == 0:
-            continue
-        i = r + int(rows_nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * mod_inv(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = np.flatnonzero(col)
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    free_cols = [c for c in range(k) if c not in set(pivot_cols)]
-    basis = np.zeros((len(free_cols), k), dtype=np.int64)
-    for idx, fc in enumerate(free_cols):
-        basis[idx, fc] = 1
-        for ri, pc in enumerate(pivot_cols):
-            basis[idx, pc] = (-a[ri, fc]) % p
+    """Basis (as rows) of {x : mat @ x = 0 mod p}, one row per free column."""
+    rows, piv = _rref(mat, p)
+    k = rows.shape[1]
+    free = np.setdiff1d(np.arange(k), piv)
+    basis = np.zeros((free.size, k), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-rows[:, free].T) % p
     return basis
 
 
 def rank(mat, p: int) -> int:
-    """Rank by in-place forward elimination (no back-substitution)."""
-    a = (np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p).copy()
-    m, k = a.shape
-    r = 0
-    for c in range(k):
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * mod_inv(int(a[r, c]), p)) % p
-        rows = np.flatnonzero(a[r + 1 :, c]) + r + 1
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    return _rref(mat, p)[1].size

@@ -66,7 +66,7 @@ def _x_shift(rows: np.ndarray, params: RingParams, rank: int, k: int = 1) -> np.
     out = np.zeros_like(arr)
     if k < params.N:
         out[..., k:] = arr[..., : params.N - k]
-    return out.reshape(rows.shape[0], -1)
+    return out.reshape(rows.shape)
 
 
 def _y_shift(rows: np.ndarray, params: RingParams, rank: int, k: int = 1) -> np.ndarray:
@@ -74,21 +74,24 @@ def _y_shift(rows: np.ndarray, params: RingParams, rank: int, k: int = 1) -> np.
     out = np.zeros_like(arr)
     if k < params.n:
         out[:, :, k:, :] = arr[:, :, : params.n - k, :]
-    return out.reshape(rows.shape[0], -1)
+    return out.reshape(rows.shape)
 
 
 def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subspace:
-    """Smallest x,y-closed subspace containing the given rows."""
-    width = rank * params.n * params.N
-    sub = linalg.Subspace(params.p, width)
-    queue = [np.asarray(r, dtype=np.int64) for r in np.atleast_2d(rows)] if rows.size else []
-    while queue:
-        vec = queue.pop()
-        if sub.insert(vec):
-            row = vec.reshape(1, -1) % params.p
-            queue.append(_x_shift(row, params, rank)[0])
-            queue.append(_y_shift(row, params, rank)[0])
-    return sub
+    """Smallest x,y-closed subspace containing the given rows.
+
+    Each round inserts the x- and y-shifts of the rows the previous round
+    added (the shifts of older rows are already in); a round that adds
+    nothing ends the closure.
+    """
+    sub = linalg.Subspace(params.p, rank * params.n * params.N)
+    block = rows
+    while True:
+        before = sub.pivots
+        if not sub.insert(block):
+            return sub
+        added = sub.rows()[~np.isin(sub.pivots, before)]
+        block = np.vstack([_x_shift(added, params, rank), _y_shift(added, params, rank)])
 
 
 def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
@@ -140,13 +143,10 @@ class ModuleRep:
         """Check x,y-closure of both subspaces (used by tests and parsers)."""
         for sub in (self.num, self.den):
             rows = sub.rows()
-            if rows.size == 0:
-                continue
-            for shifted in (_x_shift(rows, self.params, self.ambient_rank),
-                            _y_shift(rows, self.params, self.ambient_rank)):
-                for r in shifted:
-                    if not sub.contains(r):
-                        raise ContainmentError("subspace is not closed under the ring action")
+            shifted = np.vstack([_x_shift(rows, self.params, self.ambient_rank),
+                                 _y_shift(rows, self.params, self.ambient_rank)])
+            if sub.reduce(shifted).any():
+                raise ContainmentError("subspace is not closed under the ring action")
 
     def __repr__(self):
         kind = "subquotient" if self.den.dim else "module"
@@ -216,9 +216,8 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
 
 def _y_image_sub(M: ModuleRep, k: int) -> linalg.Subspace:
     """Subspace (y^k * num) + den."""
-    rows = _y_shift(M.num.rows(), M.params, M.ambient_rank, k) if M.num.dim else np.zeros((0, M.width), dtype=np.int64)
     sub = M.den.copy()
-    sub.extend(rows)
+    sub.insert(_y_shift(M.num.rows(), M.params, M.ambient_rank, k))
     return sub
 
 
@@ -229,14 +228,10 @@ def _y_kernel_sub(M: ModuleRep, k: int) -> linalg.Subspace:
     if k >= M.params.n:
         return M.num.copy()
     rows = M.num.rows()
-    if rows.shape[0] == 0:
-        return M.den.copy()
-    shifted = _y_shift(rows, M.params, M.ambient_rank, k)
-    reduced = np.array([M.den.reduce(r) for r in shifted], dtype=np.int64)
+    reduced = M.den.reduce(_y_shift(rows, M.params, M.ambient_rank, k))
     combos = linalg.nullspace(reduced.T, M.params.p)
     sub = M.den.copy()
-    if combos.shape[0]:
-        sub.extend((combos @ rows) % M.params.p)
+    sub.insert(combos @ rows)
     return sub
 
 
@@ -279,7 +274,7 @@ def divide_by_x_power(M: ModuleRep, s: int) -> ModuleRep:
         raise DomainError(f"module is not divisible by x^{s}")
     out = np.zeros_like(rows)
     out[..., : params.N - s] = rows[..., s:]
-    return ModuleRep(params, rank, _close_rows(out.reshape(rows.shape[0], -1), params, rank))
+    return ModuleRep(params, rank, _close_rows(out.reshape(-1, M.width), params, rank))
 
 
 def pure_quotient(M: ModuleRep, i: int) -> ModuleRep:
@@ -313,9 +308,8 @@ def _piece_x_len(num: linalg.Subspace, den: linalg.Subspace, params, rank, k: in
     """Length of x^k * (num/den)."""
     if k == 0:
         return num.dim - den.dim
-    rows = _x_shift(num.rows(), params, rank, k) if num.dim else np.zeros((0, num.width), dtype=np.int64)
     sub = den.copy()
-    sub.extend(rows)
+    sub.insert(_x_shift(num.rows(), params, rank, k))
     return sub.dim - den.dim
 
 
@@ -468,29 +462,15 @@ def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
     M2 = lift_module(M, work.N)
     s_row, _ = _min_valuation_element(M2)
     sA = _close_rows(s_row.reshape(1, -1), work, 1)
-    RW = _reduction_matrix(sA)
     gen_rows = (np.array([flatten(g, work, 1) for g in M2.gens], dtype=np.int64)
                 if M2.gens is not None else M2.num.rows())
-    blocks = [(RW @ _mult_matrix(g, work)) % work.p for g in gen_rows]
+    # columns of g*a mod sA, for a running over the grid basis of A
+    blocks = [sA.reduce(_mult_matrix(g, work).T).T for g in gen_rows]
     sol = linalg.nullspace(np.vstack(blocks), work.p)
     # truncate coefficients back to x-degree < N_target
     small = M.params.with_precision(N_target)
     keep = np.concatenate([np.arange(i * work.N, i * work.N + N_target) for i in range(work.n)])
-    rows = sol[:, keep] if sol.shape[0] else np.zeros((0, work.n * N_target), dtype=np.int64)
-    return _close_rows(rows, small, 1)
-
-
-def _reduction_matrix(sub: linalg.Subspace) -> np.ndarray:
-    """One-pass residue map v -> v mod sub as a matrix (valid because RREF)."""
-    L = sub.width
-    R = np.eye(L, dtype=np.int64)
-    rows = sub.rows()
-    if rows.shape[0]:
-        sel = np.zeros((rows.shape[0], L), dtype=np.int64)
-        for j, piv in enumerate(sub.pivots):
-            sel[j, piv] = 1
-        R = (R - rows.T @ sel) % sub.p
-    return R
+    return _close_rows(sol[:, keep], small, 1)
 
 
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:
@@ -558,18 +538,15 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     Wm = linalg.span(Wm_rows, p, L)
     c = W.dim - Wm.dim
 
-    RWm = _reduction_matrix(Wm)
-    v_basis = linalg.span((RWm @ W.rows().T).T % p, p, L)
-    v_pivots = list(v_basis.pivots)
+    v_pivots = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
 
     gen_rows = (np.array([flatten(g, par, 1) for g in A.gens], dtype=np.int64)
                 if A.gens is not None else A.num.rows())
     mult_mats = [_mult_matrix(g, par) for g in gen_rows]
 
     # T = {t in span(M') : t * M  <=  u * M'}
-    RW = _reduction_matrix(W)
-    RB = _reduction_matrix(B.num)
-    cond = np.vstack([(RW @ mg) % p for mg in mult_mats] + [RB])
+    cond = np.vstack([W.reduce(mg.T).T for mg in mult_mats]
+                     + [B.num.reduce(np.eye(L, dtype=np.int64)).T])
     T_rows = linalg.nullspace(cond, p)
     d = T_rows.shape[0]
     if d == 0:
@@ -577,24 +554,20 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
 
     # T0 = {t in T : images already lie in m * (u M')}; the surjectivity test
     # only depends on t mod T0, so exhausting T/T0 is exhaustive over Hom.
-    t0_cond = np.vstack([(RWm @ mg) % p @ T_rows.T for mg in mult_mats]) % p
-    T0_coords = linalg.nullspace(t0_cond, p)
-    T0_sub = linalg.span(T0_coords, p, d) if T0_coords.shape[0] else linalg.Subspace(p, d)
+    mod_m = [Wm.reduce(mg.T).T for mg in mult_mats]  # t -> t*g mod m*(u M')
+    t0_cond = np.vstack([r @ T_rows.T for r in mod_m]) % p
+    T0_sub = linalg.span(linalg.nullspace(t0_cond, p), p, d)
     free = [j for j in range(d) if j not in set(T0_sub.pivots)]
     d_eff = len(free)
+    top = [r[v_pivots] for r in mod_m]  # the same, in coordinates of W / m*(u M')
 
     def check_candidates(cand_cols: np.ndarray) -> int | None:
         # cand_cols: (L x K) candidate t's
         K = cand_cols.shape[1]
         if c == 0:
-            per = np.ones((K, max(len(mult_mats), 1), 0), dtype=np.int64)
             mask = np.ones(K, dtype=bool)
         else:
-            coord_stack = []
-            for mg in mult_mats:
-                red = (RWm @ ((mg @ cand_cols) % p)) % p
-                coord_stack.append(red[v_pivots, :])
-            per = np.stack(coord_stack, axis=2).transpose(1, 2, 0)  # (K, g, c)
+            per = np.stack([(r @ cand_cols) % p for r in top]).transpose(2, 0, 1)  # (K, g, c)
             mask = _batched_rank_is(per, c, p)
         for k in np.flatnonzero(mask):
             t = cand_cols[:, k]

@@ -31,7 +31,7 @@ from .modules import (
     is_isomorphic_oracle,
     span_from_generators,
 )
-from .ring import RingElem, RingParams, format_elem, parse_elem, required_precision
+from .ring import RingElem, RingParams, format_elem, parse_elem, parse_terms, required_precision
 
 
 def jump_position(beta) -> tuple[int, int]:
@@ -72,14 +72,8 @@ class GeneralNormalForm:
         b = (0,) + self.beta
         return b[self.n - j] - b[self.n - j - 1]
 
-    def alpha_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return dict(self.alpha)
-
     def to_json(self) -> str:
-        alpha = {
-            f"{i},{j}": format_elem(_poly_elem(coeffs, RingParams(self.n, max(len(coeffs), 1), 2)))
-            for (i, j), coeffs in self.alpha
-        }
+        alpha = {f"{i},{j}": _alpha_text(coeffs) for (i, j), coeffs in self.alpha}
         return json.dumps({"n": self.n, "beta": list(self.beta), "alpha": alpha})
 
 
@@ -97,18 +91,35 @@ def make_general_form(n: int, beta, alpha: dict | None = None) -> GeneralNormalF
     return GeneralNormalForm(n, beta, tuple(items))
 
 
+# JSON carries each alpha as a polynomial in F_8191[x]/(x^64); anything
+# outside it is refused rather than reduced or truncated.
+_ALPHA_N, _ALPHA_P = 64, 2**13 - 1
+_ALPHA_RING = f"F_{_ALPHA_P}[x]/(x^{_ALPHA_N})"
+
+
+def _alpha_text(coeffs) -> str:
+    if len(coeffs) > _ALPHA_N or not all(0 <= c < _ALPHA_P for c in coeffs):
+        raise DomainError(f"alpha {coeffs} does not fit {_ALPHA_RING}")
+    return format_elem(_poly_elem(coeffs, RingParams(1, _ALPHA_N, _ALPHA_P)))
+
+
+def _alpha_coeffs(text: str) -> tuple[int, ...]:
+    coeffs = [0] * _ALPHA_N
+    for c, xdeg, ydeg in parse_terms(text):
+        if ydeg or xdeg >= _ALPHA_N:
+            raise DomainError(f"alpha {text!r} does not fit {_ALPHA_RING}")
+        coeffs[xdeg] += c
+    if not all(0 <= c < _ALPHA_P for c in coeffs):
+        raise DomainError(f"alpha {text!r} does not fit {_ALPHA_RING}")
+    deg = max((a for a, c in enumerate(coeffs) if c), default=-1)
+    return tuple(coeffs[: deg + 1])
+
+
 def general_form_from_json(text: str) -> GeneralNormalForm:
     data = json.loads(text)
-    n = int(data["n"])
-    beta = tuple(int(b) for b in data["beta"])
-    alpha = {}
-    for key, val in data.get("alpha", {}).items():
-        i, j = (int(t) for t in key.split(","))
-        tmp = RingParams(n, max(len(val), 64), 2**13 - 1)  # big prime to carry raw ints
-        elem = parse_elem(val, tmp)
-        deg = max((a for a, c in enumerate(elem.level(0)) if c), default=-1)
-        alpha[(i, j)] = tuple(elem.level(0)[: deg + 1])
-    return make_general_form(n, beta, alpha)
+    alpha = {tuple(int(t) for t in key.split(",")): _alpha_coeffs(val)
+             for key, val in data.get("alpha", {}).items()}
+    return make_general_form(int(data["n"]), data["beta"], alpha)
 
 
 @dataclass(frozen=True)
@@ -228,15 +239,6 @@ def _max_x_degree(f: RingElem) -> int:
             if c:
                 deg = max(deg, a)
     return deg
-
-
-def _divide_x(f: RingElem, k: int) -> RingElem:
-    grid = []
-    for row in f.coeffs:
-        if any(row[:k]):
-            raise DomainError("element is not divisible by x^k")
-        grid.append(list(row[k:]) + [0] * k)
-    return RingElem(f.params, grid)
 
 
 def _split_x_degree(f: RingElem, b: int) -> tuple[RingElem, RingElem]:

@@ -89,9 +89,11 @@ class RingElem:
 
     @staticmethod
     def monomial(params: RingParams, c: int, xdeg: int, ydeg: int) -> "RingElem":
-        if not (0 <= ydeg < params.n) or not (0 <= xdeg < params.N):
-            if c % params.p == 0 or ydeg >= params.n or xdeg >= params.N:
-                return RingElem.zero(params)
+        """c * x^xdeg * y^ydeg; zero once a degree reaches its truncation."""
+        if xdeg < 0 or ydeg < 0:
+            raise DomainError(f"monomial degrees must be nonnegative, got x^{xdeg} y^{ydeg}")
+        if ydeg >= params.n or xdeg >= params.N:
+            return RingElem.zero(params)
         grid = [[0] * params.N for _ in range(params.n)]
         grid[ydeg][xdeg] = c % params.p
         return RingElem(params, grid)
@@ -139,11 +141,6 @@ class RingElem:
                                 target[a + b] = (target[a + b] + ca * cb) % p
         return RingElem(self.params, out)
 
-    def scale(self, c: int) -> "RingElem":
-        p = self.params.p
-        c %= p
-        return RingElem(self.params, [[(c * a) % p for a in r] for r in self.coeffs])
-
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise DomainError("negative powers are not defined in A")
@@ -174,13 +171,6 @@ class RingElem:
 
     def level(self, i: int) -> tuple[int, ...]:
         return self.coeffs[i]
-
-    def x_valuation(self, i: int = 0) -> int | None:
-        """Least x-degree at y-level i, or None if that level vanishes."""
-        for a, c in enumerate(self.coeffs[i]):
-            if c:
-                return a
-        return None
 
     def shift_y(self, k: int = 1) -> "RingElem":
         n = self.params.n
@@ -247,22 +237,11 @@ def y_valuation(f: RingElem) -> int:
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[xy])(?:\s*\^\s*(?P<exp>\d+))?|(?P<op>[+\-*]))")
 
 
-def parse_elem(text: str, params: RingParams) -> RingElem:
-    acc = RingElem.zero(params)
+def parse_terms(text: str):
+    """Yield the terms (c, xdeg, ydeg) of text exactly as written: c keeps
+    its sign and size, and no degree is truncated."""
     pos = 0
-    sign = 1
-    coef = None
-    xdeg = 0
-    ydeg = 0
-    in_term = False
-
-    def flush():
-        nonlocal acc, sign, coef, xdeg, ydeg, in_term
-        if in_term:
-            c = sign * (1 if coef is None else coef)
-            acc = acc + RingElem.monomial(params, c, xdeg, ydeg)
-        sign, coef, xdeg, ydeg, in_term = 1, None, 0, 0, False
-
+    sign, coef, xdeg, ydeg, in_term = 1, None, 0, 0, False
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
@@ -276,9 +255,9 @@ def parse_elem(text: str, params: RingParams) -> RingElem:
                 if not in_term:
                     raise DomainError("misplaced '*' in ring element")
                 continue
-            flush()
-            if op == "-":
-                sign = -1
+            if in_term:
+                yield sign * (1 if coef is None else coef), xdeg, ydeg
+            sign, coef, xdeg, ydeg, in_term = (-1 if op == "-" else 1), None, 0, 0, False
         elif m.group("num"):
             if in_term and coef is not None:
                 raise DomainError("two numeric factors in one term; use a single coefficient")
@@ -292,7 +271,14 @@ def parse_elem(text: str, params: RingParams) -> RingElem:
             else:
                 ydeg += exp
             in_term = True
-    flush()
+    if in_term:
+        yield sign * (1 if coef is None else coef), xdeg, ydeg
+
+
+def parse_elem(text: str, params: RingParams) -> RingElem:
+    acc = RingElem.zero(params)
+    for c, xdeg, ydeg in parse_terms(text):
+        acc = acc + RingElem.monomial(params, c, xdeg, ydeg)
     return acc
 
 

@@ -52,6 +52,17 @@ class TestIndicesCommand:
         assert code == 0
         assert payload["beta"] == [1, 2]
 
+    def test_precision_override_after_comment(self, capsys, tmp_path, monkeypatch):
+        # at the file's own N=2, x^2 vanishes and the module is not invertible
+        path = tmp_path / "commented.txt"
+        path.write_text("# the (x^2, xy, y^2) ideal\n\nring n=3 N=2 p=2 rank=1\nx^2\nx*y\ny^2\n")
+        assert main(["indices", str(path)]) == 1
+        capsys.readouterr()
+        monkeypatch.setenv("PMC_PRECISION", "18")
+        code, payload = run_json(capsys, ["indices", str(path)])
+        assert code == 0
+        assert payload["beta"] == [1, 2]
+
 
 class TestOracleCommands:
     def test_isomorphic(self, capsys, module_file, twisted_file):

@@ -1,6 +1,9 @@
-import pytest
+import json
 
-from multicurve.errors import EnumerationLimit, PrecisionError, ShapeError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multicurve.errors import DomainError, EnumerationLimit, PrecisionError, ShapeError
 from multicurve.modules import indices, is_isomorphic_oracle, span_from_generators
 from multicurve.normal_form import (
     EnumeratedModule,
@@ -179,3 +182,57 @@ class TestSerialization:
     def test_special_round_trip(self):
         form = make_special_form(5, 2, 2, [[1, 0]])
         assert special_form_from_json(form.to_json()) == form
+
+    @pytest.mark.parametrize("alpha", [
+        "9000 + x^100",  # coefficient above the carrying prime 8191, degree above 64
+        "9000",
+        "x^100",
+        "1 + y",         # alpha is a polynomial in x alone
+        "x*y^5",
+        "-1",
+        "5000 + 5000",   # each term fits, their sum does not
+    ])
+    def test_alpha_that_cannot_be_carried_is_rejected(self, alpha):
+        text = json.dumps({"n": 4, "beta": [1, 2, 3], "alpha": {"3,1": alpha}})
+        with pytest.raises(DomainError):
+            general_form_from_json(text)
+
+    def test_alpha_written_out_of_order(self):
+        text = json.dumps({"n": 4, "beta": [1, 2, 3], "alpha": {"4,2": "x + 2 + 3*x - 2"}})
+        assert general_form_from_json(text) == make_general_form(4, (1, 2, 3), {(4, 2): (0, 4)})
+
+
+@st.composite
+def general_forms(draw):
+    n = draw(st.integers(2, 5))
+    beta = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))))
+    b = (0,) + beta
+    alpha = {}
+    for i in range(3, n + 1):
+        for j in range(1, i - 1):
+            d = b[n - j] - b[n - j - 1]
+            alpha[(i, j)] = draw(st.lists(st.integers(0, 8190), min_size=d, max_size=d))
+    return make_general_form(n, beta, alpha)
+
+
+@st.composite
+def special_forms(draw):
+    n = draw(st.integers(2, 7))
+    j = draw(st.integers(1, n - 1))
+    b = draw(st.integers(1, 4))
+    rows = min(j, n - j) - 1
+    z = draw(st.lists(st.lists(st.integers(0, 65520), min_size=b, max_size=b),
+                      min_size=rows, max_size=rows))
+    return make_special_form(n, b, j, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=general_forms())
+def test_general_form_json_round_trip(form):
+    assert general_form_from_json(form.to_json()) == form
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=special_forms())
+def test_special_form_json_round_trip(form):
+    assert special_form_from_json(form.to_json()) == form

@@ -65,6 +65,20 @@ class TestMultiply:
             multiply(a, b)
 
 
+class TestMonomial:
+    @pytest.mark.parametrize("xdeg, ydeg", [(-1, 0), (0, -1), (-2, -1)])
+    def test_negative_degree_rejected(self, xdeg, ydeg):
+        with pytest.raises(DomainError):
+            RingElem.monomial(RingParams(3, 8, 5), 1, xdeg, ydeg)
+
+    def test_truncated_degree_is_zero(self):
+        par = RingParams(3, 8, 5)
+        assert RingElem.monomial(par, 1, 8, 0).is_zero()
+        assert RingElem.monomial(par, 1, 0, 3).is_zero()
+        assert RingElem.monomial(par, 5, 1, 1).is_zero()
+        assert RingElem.monomial(par, 7, 7, 2) == parse_elem("2*x^7*y^2", par)
+
+
 class TestClassify:
     def test_examples(self):
         par = RingParams(3, 8, 2)
