@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import MissingInput, PrecisionError, ShapeError, UnsupportedConfig, VerificationError
+from .errors import MissingInput, ShapeError, UnsupportedConfig, VerificationError
 from .invariants import CurveParams, genus
 from .moduli import LocalConfig
 from .modules import (
     ModuleRep,
+    _certified,
     _indices_single,
-    _mult_matrix,
+    _mul_rows,
     divide_by_x_power,
     flatten,
     lift_module,
@@ -188,28 +189,16 @@ def build_resolution(I: ModuleRep, beta=None) -> ResolutionData:
 
 def _hom_action_matrix(res_mat, I: ModuleRep) -> np.ndarray:
     """Matrix of phi -> phi o M on Hom(A^r, I) = I^r in I-basis coordinates."""
-    params = I.params
-    p = params.p
     basis = I.num.rows()
-    d = basis.shape[0]
     pivots = list(I.num.pivots)
+
+    def block(e: RingElem) -> np.ndarray:
+        # column t: coordinates of e * (basis row t); valid as the basis is in RREF
+        return _mul_rows(flatten(e, I.params, 1), basis, I.params, 1)[:, pivots].T
+
+    # block (j, k): component j of phi o M picks (M)_{k j} * v_k
     r = len(res_mat)
-    out = np.zeros((r * d, r * d), dtype=np.int64)
-    mult = {}
-    for k in range(r):
-        for jcol in range(r):
-            e = res_mat[k][jcol]
-            if e.is_zero():
-                continue
-            key = e.coeffs
-            if key not in mult:
-                mult[key] = _mult_matrix(flatten((e,), params, 1), params)
-            # block (jcol, k): component j of phi o M picks (M)_{k j} * v_k
-            imgs = (mult[key] @ basis.T) % p   # images of basis vectors
-            coords = imgs[pivots, :]           # valid: basis is in RREF
-            out[jcol * d : (jcol + 1) * d, k * d : (k + 1) * d] = \
-                (out[jcol * d : (jcol + 1) * d, k * d : (k + 1) * d] + coords) % p
-    return out
+    return np.block([[block(res_mat[k][j]) for k in range(r)] for j in range(r)])
 
 
 def _ext1_once(I: ModuleRep) -> int:
@@ -233,11 +222,7 @@ def local_ext1_length(I: ModuleRep, enforce_closed_form: bool = True) -> int:
     (2*min(j, n-j)*b for single-jump shapes, 2*b2 + 2*min(b1, b2-b1) for
     multiplicity 3) unless enforce_closed_form is False.
     """
-    N = I.params.N
-    val = _ext1_once(I)
-    val2 = _ext1_once(lift_module(I, N + 2))
-    if val != val2:
-        raise PrecisionError(f"Ext^1 length unstable under N -> N+2: {val} vs {val2}")
+    val = _certified(I.params.N, lambda N: _ext1_once(lift_module(I, N)))
     if enforce_closed_form:
         expected = closed_form_ext1(I.params.n, _indices_single(I))
         if expected is not None and expected != val:

@@ -10,6 +10,14 @@ certified by recomputing at precision N+2 and demanding agreement; the
 x-truncation is an artifact and this is the stabilization check for it.
 
 Coordinate layout: component c, y-level i, x-degree a  ->  (c*n + i)*N + a.
+
+Every product of a ring element with flat rows goes through one kernel:
+`_shift` multiplies rows by a monomial x^a y^i, and `_mul_rows` multiplies
+them by g as the sum of c * `_shift`(rows, a, i) over the nonzero terms of g,
+reduced mod p once at the end.  With rows and g in [0, p) that sum has at
+most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.  A whole
+multiplication matrix is `_mul_rows(g, eye(L))`: row k is g times the k-th
+grid monomial.
 """
 
 from __future__ import annotations
@@ -61,20 +69,23 @@ def unflatten(row: np.ndarray, params: RingParams, rank: int) -> tuple[RingElem,
     return tuple(out)
 
 
-def _x_shift(rows: np.ndarray, params: RingParams, rank: int, k: int = 1) -> np.ndarray:
-    arr = rows.reshape(-1, rank, params.n, params.N)
+def _shift(rows: np.ndarray, params: RingParams, rank: int, dx: int, dy: int) -> np.ndarray:
+    """Every row times x^dx * y^dy (zero once dx >= N or dy >= n)."""
+    n, N = params.n, params.N
+    arr = rows.reshape(-1, rank, n, N)
     out = np.zeros_like(arr)
-    if k < params.N:
-        out[..., k:] = arr[..., : params.N - k]
+    if dx < N and dy < n:
+        out[..., dy:, dx:] = arr[..., : n - dy, : N - dx]
     return out.reshape(rows.shape)
 
 
-def _y_shift(rows: np.ndarray, params: RingParams, rank: int, k: int = 1) -> np.ndarray:
-    arr = rows.reshape(-1, rank, params.n, params.N)
-    out = np.zeros_like(arr)
-    if k < params.n:
-        out[:, :, k:, :] = arr[:, :, : params.n - k, :]
-    return out.reshape(rows.shape)
+def _mul_rows(g: np.ndarray, rows: np.ndarray, params: RingParams, rank: int) -> np.ndarray:
+    """Every row times the ring element g (a flat row of A), mod p."""
+    grid = g.reshape(params.n, params.N)
+    out = np.zeros_like(rows)
+    for i, a in zip(*grid.nonzero()):
+        out += grid[i, a] * _shift(rows, params, rank, a, i)
+    return out % params.p
 
 
 def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subspace:
@@ -91,7 +102,7 @@ def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subsp
         if not sub.insert(block):
             return sub
         added = sub.rows()[~np.isin(sub.pivots, before)]
-        block = np.vstack([_x_shift(added, params, rank), _y_shift(added, params, rank)])
+        block = np.vstack([_shift(added, params, rank, 1, 0), _shift(added, params, rank, 0, 1)])
 
 
 def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
@@ -143,8 +154,8 @@ class ModuleRep:
         """Check x,y-closure of both subspaces (used by tests and parsers)."""
         for sub in (self.num, self.den):
             rows = sub.rows()
-            shifted = np.vstack([_x_shift(rows, self.params, self.ambient_rank),
-                                 _y_shift(rows, self.params, self.ambient_rank)])
+            shifted = np.vstack([_shift(rows, self.params, self.ambient_rank, 1, 0),
+                                 _shift(rows, self.params, self.ambient_rank, 0, 1)])
             if sub.reduce(shifted).any():
                 raise ContainmentError("subspace is not closed under the ring action")
 
@@ -194,8 +205,11 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     """Reinstantiate M at a higher x-precision.
 
     Prefers the remembered generators; otherwise pads the echelon basis and
-    re-closes (top x-degrees regained by the x-action).
+    re-closes (top x-degrees regained by the x-action).  At M's own
+    precision this is M itself.
     """
+    if N_new == M.params.N:
+        return M
     big = M.params.with_precision(N_new)
     if M.gens is not None:
         lifted = [tuple(e.lift(big) for e in vec) for vec in M.gens]
@@ -217,7 +231,7 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
 def _y_image_sub(M: ModuleRep, k: int) -> linalg.Subspace:
     """Subspace (y^k * num) + den."""
     sub = M.den.copy()
-    sub.insert(_y_shift(M.num.rows(), M.params, M.ambient_rank, k))
+    sub.insert(_shift(M.num.rows(), M.params, M.ambient_rank, 0, k))
     return sub
 
 
@@ -228,7 +242,7 @@ def _y_kernel_sub(M: ModuleRep, k: int) -> linalg.Subspace:
     if k >= M.params.n:
         return M.num.copy()
     rows = M.num.rows()
-    reduced = M.den.reduce(_y_shift(rows, M.params, M.ambient_rank, k))
+    reduced = M.den.reduce(_shift(rows, M.params, M.ambient_rank, 0, k))
     combos = linalg.nullspace(reduced.T, M.params.p)
     sub = M.den.copy()
     sub.insert(combos @ rows)
@@ -309,7 +323,7 @@ def _piece_x_len(num: linalg.Subspace, den: linalg.Subspace, params, rank, k: in
     if k == 0:
         return num.dim - den.dim
     sub = den.copy()
-    sub.insert(_x_shift(num.rows(), params, rank, k))
+    sub.insert(_shift(num.rows(), params, rank, k, 0))
     return sub.dim - den.dim
 
 
@@ -340,19 +354,19 @@ def _graded_single(M: ModuleRep, which: str) -> GradedReport:
     return GradedReport(tuple(_rank_torsion(num, den, M.params, M.ambient_rank) for num, den in pairs))
 
 
-def _certified(M: ModuleRep, compute):
-    """Run `compute` at N and N+2; equal results or PrecisionError."""
-    first = compute(M)
-    again = compute(lift_module(M, M.params.N + 2))
-    if first != again:
-        raise PrecisionError(
-            f"result not stable under N -> N+2 at N={M.params.N}: {first} vs {again}")
+def _certified(N: int, compute, key=None):
+    """compute(N), once it agrees with compute(N + 2) (compared through key,
+    if given); else PrecisionError."""
+    first, again = compute(N), compute(N + 2)
+    a, b = (first, again) if key is None else (key(first), key(again))
+    if a != b:
+        raise PrecisionError(f"result not stable under N -> N+2 at N={N}: {a} vs {b}")
     return first
 
 
 def graded_report(M: ModuleRep, which: str = "first") -> GradedReport:
     """Ranks and torsion lengths of the graded pieces, certified at N and N+2."""
-    return _certified(M, lambda mod: _graded_single(mod, which))
+    return _certified(M.params.N, lambda N: _graded_single(lift_module(M, N), which))
 
 
 def _support_depth(rep: GradedReport) -> int:
@@ -380,7 +394,7 @@ def _indices_single(M: ModuleRep) -> tuple[int, ...]:
 
 def indices(M: ModuleRep) -> tuple[int, ...]:
     """(beta_1, ..., beta_{n-1}): torsion of G_{n-1-i}(M), certified."""
-    return _certified(M, _indices_single)
+    return _certified(M.params.N, lambda N: _indices_single(lift_module(M, N)))
 
 
 def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
@@ -400,26 +414,18 @@ def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
 
 def indices_by_definition(M: ModuleRep) -> tuple[int, ...]:
     """beta_i = length( (M-bar_{i+1})^(1) / y^i * M-bar_{i+1} ), certified."""
-    return _certified(M, _indices_by_definition_single)
+    return _certified(M.params.N, lambda N: _indices_by_definition_single(lift_module(M, N)))
 
 
-# -- multiplication operators -------------------------------------------
+# -- generators and nonzerodivisors -------------------------------------
 
 
-def _mult_matrix(row: np.ndarray, params: RingParams) -> np.ndarray:
-    """Matrix of a |-> a*g on A (ambient rank 1), columns indexed like the grid."""
-    n, N = params.n, params.N
-    L = n * N
-    cols = np.zeros((L, L), dtype=np.int64)
-    base = row.reshape(1, L)
-    for i in range(n):
-        gi = _y_shift(base, params, 1, i) if i else base
-        acc = gi
-        for a in range(N):
-            cols[:, i * N + a] = acc[0]
-            if a + 1 < N:
-                acc = _x_shift(acc, params, 1)
-    return cols
+def _generator_rows(M: ModuleRep) -> np.ndarray:
+    """Flat rows of M's remembered generators, else of its echelon basis."""
+    if M.gens is None:
+        return M.num.rows()
+    return np.array([flatten(g, M.params, M.ambient_rank) for g in M.gens],
+                    dtype=np.int64).reshape(-1, M.width)
 
 
 def _min_valuation_element(M: ModuleRep) -> tuple[np.ndarray, int]:
@@ -462,10 +468,9 @@ def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
     M2 = lift_module(M, work.N)
     s_row, _ = _min_valuation_element(M2)
     sA = _close_rows(s_row.reshape(1, -1), work, 1)
-    gen_rows = (np.array([flatten(g, work, 1) for g in M2.gens], dtype=np.int64)
-                if M2.gens is not None else M2.num.rows())
     # columns of g*a mod sA, for a running over the grid basis of A
-    blocks = [sA.reduce(_mult_matrix(g, work).T).T for g in gen_rows]
+    grid = np.eye(work.n * work.N, dtype=np.int64)
+    blocks = [sA.reduce(_mul_rows(g, grid, work, 1)).T for g in _generator_rows(M2)]
     sol = linalg.nullspace(np.vstack(blocks), work.p)
     # truncate coefficients back to x-degree < N_target
     small = M.params.with_precision(N_target)
@@ -481,14 +486,10 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     """
     _require_plain_rank1(M, "dual_module_oracle")
     _require_full_invertible(M)
-    N = M.params.N
-    dual_N = _dual_rows_at(M, N)
-    dual_N2 = _dual_rows_at(M, N + 2)
-    rep_N = ModuleRep(M.params, 1, dual_N)
-    rep_N2 = ModuleRep(M.params.with_precision(N + 2), 1, dual_N2)
-    if _indices_single(rep_N) != _indices_single(rep_N2):
-        raise PrecisionError("dual realization not stable under N -> N+2; raise N")
-    return rep_N
+    return _certified(
+        M.params.N,
+        lambda N: ModuleRep(M.params.with_precision(N), 1, _dual_rows_at(M, N)),
+        key=_indices_single)
 
 
 # -- isomorphism oracle ---------------------------------------------------
@@ -531,22 +532,19 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     p, L = par.p, par.n * par.N
 
     u_row, _ = _min_valuation_element(A)
-    MU = _mult_matrix(u_row, par)
-    W_rows = (MU @ B.num.rows().T).T % p
-    W = linalg.span(W_rows, p, L)
-    Wm_rows = np.vstack([_x_shift(W.rows(), par, 1), _y_shift(W.rows(), par, 1)])
-    Wm = linalg.span(Wm_rows, p, L)
+    W = linalg.span(_mul_rows(u_row, B.num.rows(), par, 1), p, L)
+    Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0),
+                                _shift(W.rows(), par, 1, 0, 1)]), p, L)
     c = W.dim - Wm.dim
 
     v_pivots = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
 
-    gen_rows = (np.array([flatten(g, par, 1) for g in A.gens], dtype=np.int64)
-                if A.gens is not None else A.num.rows())
-    mult_mats = [_mult_matrix(g, par) for g in gen_rows]
+    # row k of each product: g times the k-th grid monomial
+    grid = np.eye(L, dtype=np.int64)
+    products = [_mul_rows(g, grid, par, 1) for g in _generator_rows(A)]
 
     # T = {t in span(M') : t * M  <=  u * M'}
-    cond = np.vstack([W.reduce(mg.T).T for mg in mult_mats]
-                     + [B.num.reduce(np.eye(L, dtype=np.int64)).T])
+    cond = np.vstack([W.reduce(prod).T for prod in products] + [B.num.reduce(grid).T])
     T_rows = linalg.nullspace(cond, p)
     d = T_rows.shape[0]
     if d == 0:
@@ -554,47 +552,33 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
 
     # T0 = {t in T : images already lie in m * (u M')}; the surjectivity test
     # only depends on t mod T0, so exhausting T/T0 is exhaustive over Hom.
-    mod_m = [Wm.reduce(mg.T).T for mg in mult_mats]  # t -> t*g mod m*(u M')
+    mod_m = [Wm.reduce(prod).T for prod in products]  # t -> t*g mod m*(u M')
     t0_cond = np.vstack([r @ T_rows.T for r in mod_m]) % p
     T0_sub = linalg.span(linalg.nullspace(t0_cond, p), p, d)
     free = [j for j in range(d) if j not in set(T0_sub.pivots)]
     d_eff = len(free)
     top = [r[v_pivots] for r in mod_m]  # the same, in coordinates of W / m*(u M')
 
-    def check_candidates(cand_cols: np.ndarray) -> int | None:
-        # cand_cols: (L x K) candidate t's
+    def surjects(cand_cols: np.ndarray) -> bool:
+        # cand_cols: (L x K) candidate t's; does some t map M onto u * M'?
         K = cand_cols.shape[1]
         if c == 0:
             mask = np.ones(K, dtype=bool)
         else:
             per = np.stack([(r @ cand_cols) % p for r in top]).transpose(2, 0, 1)  # (K, g, c)
             mask = _batched_rank_is(per, c, p)
-        for k in np.flatnonzero(mask):
-            t = cand_cols[:, k]
-            Mt = _mult_matrix(t, par)
-            image = linalg.span((Mt @ A.num.rows().T).T % p, p, L)
-            if image == W:
-                return int(k)
-        return None
+        return any(linalg.span(_mul_rows(cand_cols[:, k], A.num.rows(), par, 1), p, L) == W
+                   for k in np.flatnonzero(mask))
 
     chunk = 4096
     if p**d_eff <= budget:
+        # candidate k has the base-p digits of k as its coordinates on T/T0
         total = p**d_eff
-        lam = np.zeros(d_eff, dtype=np.int64)
-        done = 0
-        while done < total:
-            block = []
-            for _ in range(min(chunk, total - done)):
-                block.append(lam.copy())
-                for j in range(d_eff):  # odometer over F_p^d_eff
-                    lam[j] += 1
-                    if lam[j] < p:
-                        break
-                    lam[j] = 0
-            done += len(block)
-            lam_mat = np.array(block, dtype=np.int64)
-            cand = (T_rows[free].T @ lam_mat.T) % p if d_eff else np.zeros((L, len(block)), dtype=np.int64)
-            if check_candidates(cand) is not None:
+        weights = p ** np.arange(d_eff, dtype=np.int64)
+        for lo in range(0, total, chunk):
+            k = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+            lam_mat = (k[:, None] // weights) % p
+            if surjects((T_rows[free].T @ lam_mat.T) % p):
                 return YES
         return NO
 
@@ -604,8 +588,7 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
         K = min(chunk, remaining)
         remaining -= K
         lam_mat = rng.integers(0, p, size=(K, d), dtype=np.int64)
-        cand = (T_rows.T @ lam_mat.T) % p
-        if check_candidates(cand) is not None:
+        if surjects((T_rows.T @ lam_mat.T) % p):
             return YES
     return INCONCLUSIVE
 
@@ -625,12 +608,7 @@ def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep, budget: int = 2**16,
     _require_plain_rank1(Mp, "is_isomorphic_oracle")
     _require_full_invertible(M)
     _require_full_invertible(Mp)
-    N = M.params.N
-    v1 = _iso_single(M, Mp, N, budget, samples, seed)
-    v2 = _iso_single(M, Mp, N + 2, budget, samples, seed)
-    if v1 != v2:
-        raise PrecisionError(f"isomorphism verdict unstable under N -> N+2: {v1} vs {v2}")
-    return v1
+    return _certified(M.params.N, lambda N: _iso_single(M, Mp, N, budget, samples, seed))
 
 
 # -- module-spec files ----------------------------------------------------

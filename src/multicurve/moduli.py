@@ -16,6 +16,7 @@ boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -398,19 +399,8 @@ def _candidate_moves(config: LocalConfig):
 
 
 def _iter_jvecs(b: tuple[int, ...], n: int):
-    vec = [0] * (n - 1)
-
-    def rec(pos: int, low: int):
-        if pos == n - 1:
-            jv = tuple(vec)
-            if _valid_jvec(b, jv, n):
-                yield jv
-            return
-        for v in range(low, b[-1] + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, v)
-
-    yield from rec(0, 0)
+    return (jv for jv in itertools.combinations_with_replacement(range(b[-1] + 1), n - 1)
+            if _valid_jvec(b, jv, n))
 
 
 # -- connectivity -----------------------------------------------------------

@@ -19,6 +19,7 @@ z_{h,i} once deg_x z_h < b and h <= jbar = min(j, n-j) - 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -77,39 +78,42 @@ class GeneralNormalForm:
         return json.dumps({"n": self.n, "beta": list(self.beta), "alpha": alpha})
 
 
+def _fit(coeffs, size: int, what: str) -> tuple[int, ...]:
+    """coeffs zero-padded to size; nonzero entries beyond it are refused."""
+    coeffs = tuple(int(c) for c in coeffs)
+    if any(coeffs[size:]):
+        raise DomainError(f"{what} {coeffs} has nonzero entries beyond its {size} slots")
+    return coeffs[:size] + (0,) * (size - len(coeffs))
+
+
 def make_general_form(n: int, beta, alpha: dict | None = None) -> GeneralNormalForm:
     beta = validate_indices(beta, n)
+    b = (0,) + beta
     items = []
-    if alpha:
-        for (i, j), coeffs in sorted(alpha.items()):
-            b = (0,) + beta
-            d = b[n - j] - b[n - j - 1]
-            coeffs = tuple(int(c) for c in coeffs)[:d]
-            coeffs = coeffs + (0,) * (d - len(coeffs))
-            if any(coeffs):
-                items.append(((i, j), coeffs))
+    for (i, j), coeffs in sorted((alpha or {}).items()):
+        coeffs = _fit(coeffs, b[n - j] - b[n - j - 1], f"alpha({i},{j})")
+        if any(coeffs):
+            items.append(((i, j), coeffs))
     return GeneralNormalForm(n, beta, tuple(items))
 
 
-# JSON carries each alpha as a polynomial in F_8191[x]/(x^64); anything
-# outside it is refused rather than reduced or truncated.
-_ALPHA_N, _ALPHA_P = 64, 2**13 - 1
-_ALPHA_RING = f"F_{_ALPHA_P}[x]/(x^{_ALPHA_N})"
+# JSON carries each alpha as a polynomial in F_65521[x]/(x^64), which holds
+# every residue of every admitted prime; anything outside it is refused
+# rather than reduced or truncated.
+_ALPHA_RING = RingParams(1, 64, 65521)
 
 
 def _alpha_text(coeffs) -> str:
-    if len(coeffs) > _ALPHA_N or not all(0 <= c < _ALPHA_P for c in coeffs):
-        raise DomainError(f"alpha {coeffs} does not fit {_ALPHA_RING}")
-    return format_elem(_poly_elem(coeffs, RingParams(1, _ALPHA_N, _ALPHA_P)))
+    return format_elem(_poly_elem(coeffs, _ALPHA_RING))
 
 
 def _alpha_coeffs(text: str) -> tuple[int, ...]:
-    coeffs = [0] * _ALPHA_N
+    coeffs = [0] * _ALPHA_RING.N
     for c, xdeg, ydeg in parse_terms(text):
-        if ydeg or xdeg >= _ALPHA_N:
+        if ydeg or xdeg >= _ALPHA_RING.N:
             raise DomainError(f"alpha {text!r} does not fit {_ALPHA_RING}")
         coeffs[xdeg] += c
-    if not all(0 <= c < _ALPHA_P for c in coeffs):
+    if not all(0 <= c < _ALPHA_RING.p for c in coeffs):
         raise DomainError(f"alpha {text!r} does not fit {_ALPHA_RING}")
     deg = max((a for a, c in enumerate(coeffs) if c), default=-1)
     return tuple(coeffs[: deg + 1])
@@ -151,12 +155,11 @@ class SpecialNormalForm:
 
 def make_special_form(n: int, b: int, j: int, z=None) -> SpecialNormalForm:
     rows = jbar(n, j)
-    grid = []
-    z = list(z or [])
-    for h in range(rows):
-        row = tuple(int(c) for c in (z[h] if h < len(z) else ()))[:b]
-        grid.append(row + (0,) * (b - len(row)))
-    return SpecialNormalForm(n, b, j, tuple(grid))
+    z = [_fit(row, b, "z row") for row in z or []]
+    if any(any(row) for row in z[rows:]):
+        raise DomainError(f"z has nonzero rows beyond its {rows} rows")
+    z = z[:rows] + [(0,) * b] * (rows - len(z))
+    return SpecialNormalForm(n, b, j, tuple(z))
 
 
 def special_form_from_json(text: str) -> SpecialNormalForm:
@@ -168,10 +171,12 @@ def special_form_from_json(text: str) -> SpecialNormalForm:
 
 
 def _poly_elem(coeffs, params: RingParams, level: int = 0) -> RingElem:
+    """sum_a coeffs[a] x^a y^level; coefficients must be residues in [0, p)
+    and degrees below N, so nothing is reduced or cut."""
+    if len(coeffs) > params.N or not all(0 <= c < params.p for c in coeffs):
+        raise DomainError(f"coefficients {tuple(coeffs)} do not fit {params}")
     grid = [[0] * params.N for _ in range(params.n)]
-    for a, c in enumerate(coeffs):
-        if a < params.N:
-            grid[level][a] = int(c) % params.p
+    grid[level][: len(coeffs)] = [int(c) for c in coeffs]
     return RingElem(params, grid)
 
 
@@ -314,21 +319,9 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
 
 
 def iter_monotone_vectors(length: int, top: int):
-    """All nondecreasing vectors of the given length with entries in [0, top]."""
-    if length == 0:
-        yield ()
-        return
-    vec = [0] * length
-
-    def rec(pos, low):
-        if pos == length:
-            yield tuple(vec)
-            return
-        for v in range(low, top + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, v)
-
-    yield from rec(0, 0)
+    """All nondecreasing vectors of the given length with entries in [0, top],
+    in lexicographic order."""
+    return itertools.combinations_with_replacement(range(top + 1), length)
 
 
 def iter_normal_forms(n: int, beta_max: int, p: int):

@@ -162,6 +162,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.startswith("ok indices")
 
+    def test_all_suites(self, capsys):
+        assert main(["verify", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        suites = ("ring", "indices", "duality", "stability", "ext", "moduli")
+        assert [ln.split()[:2] for ln in lines] == [["ok", f"{name}:"] for name in suites]
+
     def test_unknown_suite_is_invalid_input(self, capsys):
         assert main(["verify", "nonsense"]) == 1
 

@@ -176,7 +176,8 @@ class TestEnumeration:
 
 class TestSerialization:
     def test_general_round_trip(self):
-        form = make_general_form(4, (1, 2, 3), {(3, 1): (1,), (4, 2): (0, 1)})
+        # beta = (1, 3, 6) gives alpha_(4,2) two coefficients, so x fits
+        form = make_general_form(4, (1, 3, 6), {(3, 1): (1,), (4, 2): (0, 1)})
         assert general_form_from_json(form.to_json()) == form
 
     def test_special_round_trip(self):
@@ -184,13 +185,13 @@ class TestSerialization:
         assert special_form_from_json(form.to_json()) == form
 
     @pytest.mark.parametrize("alpha", [
-        "9000 + x^100",  # coefficient above the carrying prime 8191, degree above 64
-        "9000",
+        "9000 + x^100",  # degree above 64
+        "65521",         # coefficient above the carrying prime 65521
         "x^100",
         "1 + y",         # alpha is a polynomial in x alone
         "x*y^5",
         "-1",
-        "5000 + 5000",   # each term fits, their sum does not
+        "40000 + 30000",  # each term fits, their sum does not
     ])
     def test_alpha_that_cannot_be_carried_is_rejected(self, alpha):
         text = json.dumps({"n": 4, "beta": [1, 2, 3], "alpha": {"3,1": alpha}})
@@ -198,8 +199,47 @@ class TestSerialization:
             general_form_from_json(text)
 
     def test_alpha_written_out_of_order(self):
-        text = json.dumps({"n": 4, "beta": [1, 2, 3], "alpha": {"4,2": "x + 2 + 3*x - 2"}})
-        assert general_form_from_json(text) == make_general_form(4, (1, 2, 3), {(4, 2): (0, 4)})
+        text = json.dumps({"n": 4, "beta": [1, 3, 6], "alpha": {"4,2": "x + 2 + 3*x - 2"}})
+        assert general_form_from_json(text) == make_general_form(4, (1, 3, 6), {(4, 2): (0, 4)})
+
+    @pytest.mark.parametrize("coeff", [9000, 65520])
+    def test_alpha_below_the_largest_prime_round_trips(self, coeff):
+        form = make_general_form(4, (1, 2, 3), {(3, 1): (coeff,)})
+        assert general_form_from_json(form.to_json()) == form
+        assert form.alpha == (((3, 1), (coeff,)),)
+
+
+class TestBuildersRefuseLossyInput:
+    def test_alpha_above_its_natural_degree(self):
+        # alpha_(3,1) has natural degree 1 here, so x^5 cannot be represented
+        with pytest.raises(DomainError):
+            general_form_from_json('{"n":4,"beta":[1,2,3],"alpha":{"3,1":"x^5"}}')
+        with pytest.raises(DomainError):
+            make_general_form(4, (1, 2, 3), {(3, 1): (1, 1)})
+
+    def test_z_rows_beyond_jbar(self):
+        # jbar(3, 1) = 0: the model has no z row at all
+        with pytest.raises(DomainError):
+            special_form_from_json('{"n":3,"b":1,"j":1,"z":[[1]]}')
+
+    def test_z_entries_beyond_b(self):
+        with pytest.raises(DomainError):
+            make_special_form(5, 2, 2, [[1, 0, 1]])
+
+    def test_zero_padding_and_zero_tails_are_kept(self):
+        assert make_special_form(5, 2, 2, [[1]]).z == ((1, 0),)
+        assert make_special_form(5, 2, 2, [[1, 0, 0], [0]]).z == ((1, 0),)
+        assert make_general_form(4, (1, 2, 3), {(3, 1): (1, 0)}).alpha == (((3, 1), (1,)),)
+
+    def test_alpha_coefficient_not_below_p(self):
+        form = make_general_form(3, (1, 2), {(3, 1): (5,)})
+        with pytest.raises(DomainError):
+            ideal_from_indices(form, RingParams(3, 18, 5))
+
+    def test_z_entry_not_below_p(self):
+        form = make_special_form(5, 2, 2, [[7, 0]])
+        with pytest.raises(DomainError):
+            special_ideal(form, RingParams(5, required_precision(5, 2), 7))
 
 
 @st.composite
@@ -211,7 +251,7 @@ def general_forms(draw):
     for i in range(3, n + 1):
         for j in range(1, i - 1):
             d = b[n - j] - b[n - j - 1]
-            alpha[(i, j)] = draw(st.lists(st.integers(0, 8190), min_size=d, max_size=d))
+            alpha[(i, j)] = draw(st.lists(st.integers(0, 65520), min_size=d, max_size=d))
     return make_general_form(n, beta, alpha)
 
 
