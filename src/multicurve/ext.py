@@ -30,21 +30,19 @@ import numpy as np
 
 from . import linalg
 from .errors import MissingInput, ShapeError, UnsupportedConfig, VerificationError
-from .invariants import CurveParams, genus
-from .moduli import LocalConfig
+from .invariants import CurveParams
+from .moduli import LocalConfig, PointIndices, _tangent_term, tangent_dimension
 from .modules import (
     ModuleRep,
     _certified,
     _indices_single,
     _mul_rows,
-    divide_by_x_power,
     flatten,
     lift_module,
     span_from_generators,
-    unflatten,
 )
-from .normal_form import _poly_inverse, jump_position
-from .ring import RingElem, RingParams
+from .normal_form import _single_jump_lead, jump_position
+from .ring import RingElem
 
 
 @dataclass(frozen=True)
@@ -79,49 +77,18 @@ class ResolutionData:
                         raise ShapeError("resolution is not a complex: M1*M2 != 0")
 
 
-def ext1_special_closed_form(n: int, jump: int, b: int) -> int:
-    return 2 * min(jump, n - jump) * b
-
-
-def ext1_n3_closed_form(b1: int, b2: int) -> int:
-    return 2 * b2 + 2 * min(b1, b2 - b1)
-
-
 # -- shape extraction ------------------------------------------------------
-
-
-def _normalize_embedding(M: ModuleRep, b: int) -> ModuleRep:
-    """Strip a common x-power so the leading y-degree-0 valuation is b."""
-    piv = M.num.pivots
-    if piv and piv[0] > b:
-        M = divide_by_x_power(M, piv[0] - b)
-    return M
-
-
-def _lead_generator(M: ModuleRep, b: int) -> RingElem:
-    """Element of M with y-degree-0 part exactly x^b (unit-normalized pivot row)."""
-    piv = M.num.pivots
-    if not piv or piv[0] != b:
-        raise ShapeError(
-            f"leading y-degree-0 valuation {piv[0] if piv else None} differs from {b}")
-    e = unflatten(M.num.rows()[0], M.params, 1)[0]
-    u = tuple(e.level(0)[b:])
-    params = M.params
-    grid = [[0] * params.N for _ in range(params.n)]
-    for a, c in enumerate(_poly_inverse(u, params.N, params.p)):
-        grid[0][a] = c
-    return e * RingElem(params, grid)
 
 
 def _special_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
     """(lead, j, b) with I = (lead, y^j) and lead = x^b + alpha*y, or ShapeError."""
     j, b = jump_position(beta)
-    I = _normalize_embedding(I, b)
+    I, lead = _single_jump_lead(I, b)
     params = I.params
     yj = RingElem.monomial(params, 1, 0, j)
     if not I.contains(yj):
         raise ShapeError(f"module does not contain y^{j}")
-    lead = _lead_generator(I, b).truncate_y(j)
+    lead = lead.truncate_y(j)
     if span_from_generators([lead, yj], params=params).num != I.num:
         raise ShapeError("module is not of the two-generator shape (x^b + alpha*y, y^j)")
     return lead, j, b
@@ -130,13 +97,13 @@ def _special_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
 def _n3_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
     """(alpha, b1, b2) for the three-generator multiplicity-3 shape."""
     b1, b2 = beta
-    I = _normalize_embedding(I, b2)
+    I, lead = _single_jump_lead(I, b2)
     params = I.params
     g2 = RingElem.monomial(params, 1, b2 - b1, 1)
     g1 = RingElem.monomial(params, 1, 0, 2)
     if not (I.contains(g1) and I.contains(g2)):
         raise ShapeError("module does not contain x^(b2-b1)*y and y^2")
-    lead = _lead_generator(I, b2).truncate_y(2)
+    lead = lead.truncate_y(2)
     if span_from_generators([lead, g2, g1], params=params).num != I.num:
         raise ShapeError("module is not of the shape (x^b2 + alpha*y, x^(b2-b1)*y, y^2)")
     # alpha is only relevant modulo x^(b2-b1) (presentation ambiguity) and
@@ -235,12 +202,10 @@ def closed_form_ext1(n: int, beta) -> int | None:
     """The applicable closed form, or None when no closed form is known."""
     if not any(beta):
         return 0
-    if all(v in (0, beta[-1]) for v in beta):
-        j, b = jump_position(beta)
-        return ext1_special_closed_form(n, j, b)
-    if n == 3:
-        return ext1_n3_closed_form(*beta)
-    return None
+    pt = PointIndices(tuple(beta))
+    if n != 3 and not pt.special:
+        return None
+    return 2 * _tangent_term(n, pt)
 
 
 # -- global assembly ---------------------------------------------------------
@@ -248,13 +213,13 @@ def closed_form_ext1(n: int, beta) -> int | None:
 
 def global_ext1_dimension(cp: CurveParams, config: LocalConfig, stable: bool,
                           h0_blowup: int | None = None) -> int:
-    """dim Ext^1(F, F) = g_n + (local tilde-b sum) + h^0(blow-up) - 1.
+    """dim Ext^1(F, F) = g_n + (local tilde-b sum) + h^0(blow-up) - 1, i.e. the
+    tangent dimension plus h^0(blow-up) - 1.
 
     For stable F the blow-up has only constant sections, so h^0 = 1;
     otherwise the caller must supply it.
     """
-    n = cp.n
-    if config.n != n:
+    if config.n != cp.n:
         raise UnsupportedConfig("configuration multiplicity differs from the curve's")
     if stable:
         h0 = 1
@@ -262,11 +227,4 @@ def global_ext1_dimension(cp: CurveParams, config: LocalConfig, stable: bool,
         raise MissingInput("h^0 of the blow-up is required for a non-stable sheaf")
     else:
         h0 = h0_blowup
-    if n == 3:
-        beta2 = sum(pt.b[1] for pt in config.points)
-        btilde = sum(min(pt.b[0], pt.b[1] - pt.b[0]) for pt in config.points)
-        return genus(cp, 3) + beta2 + btilde + h0 - 1
-    if not config.all_special():
-        raise UnsupportedConfig("no Ext formula for non-single-jump points when n != 3")
-    btilde = sum(min(pt.jump, n - pt.jump) * pt.value for pt in config.points)
-    return genus(cp, n) + btilde + h0 - 1
+    return tangent_dimension(cp, config) + h0 - 1

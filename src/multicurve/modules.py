@@ -18,6 +18,11 @@ reduced mod p once at the end.  With rows and g in [0, p) that sum has at
 most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.  A whole
 multiplication matrix is `_mul_rows(g, eye(L))`: row k is g times the k-th
 grid monomial.
+
+Both Hom computations are transporters ("colons") built by `_colon`: the
+dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
+(uM' : M) inside M'.  Every elimination, the oracle's rank test on each
+candidate map included, goes through `linalg`.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from .errors import (
     NotInvertibleError,
     ParameterMismatch,
     PrecisionError,
+    VerificationError,
 )
-from .ring import RingElem, RingParams
+from .ring import RingElem, RingParams, format_elem, parse_elem, parse_terms
 
 
 # -- flat-vector plumbing ----------------------------------------------
@@ -456,6 +462,21 @@ def _require_full_invertible(M: ModuleRep) -> None:
         raise NotInvertibleError("module is supported on a proper subcurve")
 
 
+def _colon(target: linalg.Subspace, M: ModuleRep, within: linalg.Subspace | None = None) -> np.ndarray:
+    """Basis rows of the transporter {t in A : t*M <= target}, inside `within` if given.
+
+    Row k of `_mul_rows(g, eye(L))` is g times the k-th grid monomial, so the
+    transposed residues mod target map t to the residue of g*t; the colon is
+    the common nullspace of these maps over M's generators g.
+    """
+    par = M.params
+    grid = np.eye(par.n * par.N, dtype=np.int64)
+    blocks = [target.reduce(_mul_rows(g, grid, par, 1)).T for g in _generator_rows(M)]
+    if within is not None:
+        blocks.append(within.reduce(grid).T)
+    return linalg.nullspace(np.vstack(blocks), par.p)
+
+
 def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
     """Dual of M realized inside A at precision N_target.
 
@@ -467,11 +488,7 @@ def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
     work = M.params.with_precision(2 * N_target)
     M2 = lift_module(M, work.N)
     s_row, _ = _min_valuation_element(M2)
-    sA = _close_rows(s_row.reshape(1, -1), work, 1)
-    # columns of g*a mod sA, for a running over the grid basis of A
-    grid = np.eye(work.n * work.N, dtype=np.int64)
-    blocks = [sA.reduce(_mul_rows(g, grid, work, 1)).T for g in _generator_rows(M2)]
-    sol = linalg.nullspace(np.vstack(blocks), work.p)
+    sol = _colon(_close_rows(s_row.reshape(1, -1), work, 1), M2)
     # truncate coefficients back to x-degree < N_target
     small = M.params.with_precision(N_target)
     keep = np.concatenate([np.arange(i * work.N, i * work.N + N_target) for i in range(work.n)])
@@ -499,32 +516,6 @@ NO = "no"
 INCONCLUSIVE = "inconclusive"
 
 
-def _batched_rank_is(A: np.ndarray, c: int, p: int) -> np.ndarray:
-    """For a stack A of (g x c) matrices, the mask {rank == c}."""
-    A = A.copy() % p
-    K, g, _ = A.shape
-    ok = np.ones(K, dtype=bool)
-    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
-    for col in range(c):
-        block = A[:, col:, col]
-        has = block != 0
-        any_piv = has.any(axis=1)
-        ok &= any_piv
-        piv = np.argmax(has, axis=1) + col
-        piv[~any_piv] = col
-        idx = np.arange(K)
-        swap = A[idx, piv, :].copy()
-        A[idx, piv, :] = A[:, col, :]
-        A[:, col, :] = swap
-        pivval = A[:, col, col]
-        factor = inv_table[pivval]
-        if col + 1 < g:
-            below = A[:, col + 1 :, col]
-            coef = (below * factor[:, None]) % p
-            A[:, col + 1 :, :] = (A[:, col + 1 :, :] - coef[:, :, None] * A[:, col : col + 1, :]) % p
-    return ok
-
-
 def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples: int, seed: int) -> str:
     par = M.params.with_precision(N_target)
     A = lift_module(M, N_target)
@@ -536,39 +527,35 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0),
                                 _shift(W.rows(), par, 1, 0, 1)]), p, L)
     c = W.dim - Wm.dim
-
     v_pivots = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
 
-    # row k of each product: g times the k-th grid monomial
-    grid = np.eye(L, dtype=np.int64)
-    products = [_mul_rows(g, grid, par, 1) for g in _generator_rows(A)]
-
-    # T = {t in span(M') : t * M  <=  u * M'}
-    cond = np.vstack([W.reduce(prod).T for prod in products] + [B.num.reduce(grid).T])
-    T_rows = linalg.nullspace(cond, p)
+    # T = {t in M' : t * M <= u * M'} is Hom(M, M') via t -> (m -> t*m / u)
+    T_rows = _colon(W, A, within=B.num)
     d = T_rows.shape[0]
     if d == 0:
         return NO
 
-    # T0 = {t in T : images already lie in m * (u M')}; the surjectivity test
-    # only depends on t mod T0, so exhausting T/T0 is exhaustive over Hom.
-    mod_m = [Wm.reduce(prod).T for prod in products]  # t -> t*g mod m*(u M')
-    t0_cond = np.vstack([r @ T_rows.T for r in mod_m]) % p
-    T0_sub = linalg.span(linalg.nullspace(t0_cond, p), p, d)
-    free = [j for j in range(d) if j not in set(T0_sub.pivots)]
-    d_eff = len(free)
-    top = [r[v_pivots] for r in mod_m]  # the same, in coordinates of W / m*(u M')
+    # top[g][i]: g * t_i mod m*(u M'), in coordinates of W / m*(u M').  By
+    # Nakayama (m is nilpotent) t maps M onto u M' exactly when the images of
+    # the generators span W / m*(u M'), i.e. when lam @ top has rank c.  That
+    # only depends on t mod T0 = {t : every image lies in m*(u M')}, so
+    # exhausting T/T0 is exhaustive over Hom.
+    imgs = np.stack([Wm.reduce(_mul_rows(g, T_rows, par, 1)) for g in _generator_rows(A)])
+    top = imgs[:, :, v_pivots]
+    T0_sub = linalg.span(linalg.nullspace(np.hstack(top).T, p), p, d)
+    free = np.setdiff1d(np.arange(d), T0_sub.pivots)
+    d_eff = free.size
 
-    def surjects(cand_cols: np.ndarray) -> bool:
-        # cand_cols: (L x K) candidate t's; does some t map M onto u * M'?
-        K = cand_cols.shape[1]
-        if c == 0:
-            mask = np.ones(K, dtype=bool)
-        else:
-            per = np.stack([(r @ cand_cols) % p for r in top]).transpose(2, 0, 1)  # (K, g, c)
-            mask = _batched_rank_is(per, c, p)
-        return any(linalg.span(_mul_rows(cand_cols[:, k], A.num.rows(), par, 1), p, L) == W
-                   for k in np.flatnonzero(mask))
+    def surjects(lam_mat: np.ndarray, rows: np.ndarray) -> bool:
+        # lam_mat: (K x len(rows)) coordinates of K candidates t on `rows` of T
+        per = (lam_mat @ top[:, rows, :]) % p  # (g, K, c)
+        for k in range(lam_mat.shape[0]):
+            if linalg.rank(per[:, k, :], p) == c:
+                t = (lam_mat[k] @ T_rows[rows]) % p
+                if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
+                    raise VerificationError("a map onto W / m*W does not map M onto u*M'")
+                return True
+        return False
 
     chunk = 4096
     if p**d_eff <= budget:
@@ -577,8 +564,7 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
         weights = p ** np.arange(d_eff, dtype=np.int64)
         for lo in range(0, total, chunk):
             k = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            lam_mat = (k[:, None] // weights) % p
-            if surjects((T_rows[free].T @ lam_mat.T) % p):
+            if surjects((k[:, None] // weights) % p, free):
                 return YES
         return NO
 
@@ -587,8 +573,7 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     while remaining > 0:
         K = min(chunk, remaining)
         remaining -= K
-        lam_mat = rng.integers(0, p, size=(K, d), dtype=np.int64)
-        if surjects((T_rows.T @ lam_mat.T) % p):
+        if surjects(rng.integers(0, p, size=(K, d), dtype=np.int64), np.arange(d)):
             return YES
     return INCONCLUSIVE
 
@@ -614,12 +599,21 @@ def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep, budget: int = 2**16,
 # -- module-spec files ----------------------------------------------------
 
 
+def _parse_exact(text: str, params: RingParams) -> RingElem:
+    """The ring element written in text, refusing any term that the ring
+    would change: a coefficient c with |c| >= p, or an x-degree >= N."""
+    for c, xdeg, _ in parse_terms(text):
+        if abs(c) >= params.p or xdeg >= params.N:
+            raise DomainError(f"{text.strip()!r}: coefficient {c} or x-degree {xdeg} does not fit {params}")
+    return parse_elem(text, params)
+
+
 def parse_module_text(text: str) -> ModuleRep:
     """Module-spec format: header `ring n=<n> N=<N> p=<p> rank=<r>`, then one
     generator per line in the ring text syntax (components comma-separated
-    when rank > 1).  Blank lines and '#' comments are skipped."""
-    from .ring import parse_elem
-
+    when rank > 1).  Blank lines and '#' comments are skipped.  A term whose
+    coefficient is not a residue (|c| >= p) or whose x-degree reaches N raises
+    DomainError instead of being reduced or cut."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("ring"):
@@ -640,13 +634,11 @@ def parse_module_text(text: str) -> ModuleRep:
         parts = ln.split(",")
         if len(parts) != rank:
             raise DomainError(f"generator {ln!r} has {len(parts)} components, expected {rank}")
-        gens.append(tuple(parse_elem(part, params) for part in parts))
+        gens.append(tuple(_parse_exact(part, params) for part in parts))
     return span_from_generators(gens, params=params, ambient_rank=rank)
 
 
 def format_module(params: RingParams, rank: int, gens) -> str:
-    from .ring import format_elem
-
     out = [f"ring n={params.n} N={params.N} p={params.p} rank={rank}"]
     for vec in gens:
         vec = _as_vector(vec, rank)

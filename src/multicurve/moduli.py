@@ -216,6 +216,17 @@ def z_locus_dimension(cp: CurveParams, config: LocalConfig) -> int | None:
     return genus(cp, cp.n) - top + len(config.points)
 
 
+def _tangent_term(n: int, pt: PointIndices) -> int:
+    """A point's share of the tangent dimension: min(j, n-j) * b at a
+    single-jump point, else (n = 3 only) b_2 + min(b_1, b_2 - b_1), which
+    also gives min(j, 3-j) * b on single-jump points.  It is half the
+    point's local Ext^1 length and the genus the blow-up loses there."""
+    if pt.special:
+        return min(pt.jump, n - pt.jump) * pt.value
+    b1, b2 = pt.b
+    return b2 + min(b1, b2 - b1)
+
+
 def tangent_dimension(cp: CurveParams, config: LocalConfig) -> int:
     """Zariski tangent dimension at a stable point with this configuration.
 
@@ -225,18 +236,10 @@ def tangent_dimension(cp: CurveParams, config: LocalConfig) -> int:
     n = cp.n
     if config.n != n:
         raise DomainError("configuration multiplicity differs from the curve's")
-    if n == 3:
-        beta2 = sum(pt.b[1] for pt in config.points)
-        extra = sum(min(pt.b[0], pt.b[1] - pt.b[0]) for pt in config.points)
-        return genus(cp, 3) + beta2 + extra
-    if not config.all_special():
+    if n != 3 and not config.all_special():
         raise UnsupportedConfig(
             "no tangent formula for a non-single-jump point when n != 3")
-    acc = 0
-    for pt in config.points:
-        h = pt.jump
-        acc += min(h, n - h) * pt.value
-    return genus(cp, n) + acc
+    return genus(cp, n) + sum(_tangent_term(n, pt) for pt in config.points)
 
 
 def tangent_dimension_vector_bundle(cp: CurveParams, h0_end_twist: int | None = None) -> int:
@@ -285,9 +288,7 @@ def blowup_genus(cp: CurveParams, config: LocalConfig) -> int:
     """Genus of the blow-up along an all-special configuration."""
     if not config.all_special():
         raise UnsupportedConfig("blow-up genus needs an all-special configuration")
-    n = cp.n
-    acc = sum(min(pt.jump, n - pt.jump) * pt.value for pt in config.points)
-    return genus(cp, n) - acc
+    return genus(cp, cp.n) - sum(_tangent_term(cp.n, pt) for pt in config.points)
 
 
 # -- deformation moves -----------------------------------------------------
@@ -412,6 +413,8 @@ class ConnectivityResult:
     edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     component_count: int
     components: tuple[tuple[tuple[int, ...], ...], ...]
+    truncated: bool  # a new configuration was left unexplored by a cap
+    configs_visited: int
 
 
 def _seed_configs(n: int, beta) -> list[LocalConfig]:
@@ -422,17 +425,22 @@ def _seed_configs(n: int, beta) -> list[LocalConfig]:
     return seeds
 
 
-def connectivity(cp: CurveParams, max_configs: int = 200_000) -> ConnectivityResult:
+# Cap on the configurations `connectivity` visits; the search also stops
+# n times the largest index moves away from a seed.
+MAX_CONFIGS = 200_000
+
+
+def connectivity(cp: CurveParams) -> ConnectivityResult:
     """Connected components of the label graph proven by the deformation moves.
 
     A count above 1 means 'not proven connected by these moves', never a
-    disconnectedness proof.
+    disconnectedness proof; `truncated` says whether a cap cut the search.
     """
     comps = enumerate_components(cp)
     labels = [c.beta for c in comps]
     labelset = set(labels)
     if not labels:
-        return ConnectivityResult((), (), 0, ())
+        return ConnectivityResult((), (), 0, (), False, 0)
 
     parent = {lbl: lbl for lbl in labels}
 
@@ -450,6 +458,7 @@ def connectivity(cp: CurveParams, max_configs: int = 200_000) -> ConnectivityRes
     max_depth = cp.n * max((b[-1] for b in labels if b), default=0)
     edges = set()
     visited = set()
+    truncated = False
     queue: list[tuple[LocalConfig, int]] = []
     for lbl in labels:
         for cfg in _seed_configs(cp.n, lbl):
@@ -471,18 +480,21 @@ def connectivity(cp: CurveParams, max_configs: int = 200_000) -> ConnectivityRes
             if lbl2 != lbl:
                 edges.add(tuple(sorted((lbl, lbl2))))
                 union(lbl, lbl2)
-            if depth + 1 <= max_depth and len(visited) < max_configs:
-                key = nxt.canonical()
-                if key not in visited:
-                    visited.add(key)
-                    queue.append((nxt, depth + 1))
+            key = nxt.canonical()
+            if key in visited:
+                continue
+            if depth + 1 > max_depth or len(visited) >= MAX_CONFIGS:
+                truncated = True
+                continue
+            visited.add(key)
+            queue.append((nxt, depth + 1))
 
     groups: dict = {}
     for lbl in labels:
         groups.setdefault(find(lbl), []).append(lbl)
     comps_sorted = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    return ConnectivityResult(
-        tuple(labels), tuple(sorted(edges)), len(groups), comps_sorted)
+    return ConnectivityResult(tuple(labels), tuple(sorted(edges)), len(groups), comps_sorted,
+                              truncated, len(visited))
 
 
 def write_dot(result: ConnectivityResult) -> str:

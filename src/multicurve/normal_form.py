@@ -31,6 +31,7 @@ from .modules import (
     indices,
     is_isomorphic_oracle,
     span_from_generators,
+    unflatten,
 )
 from .ring import RingElem, RingParams, format_elem, parse_elem, parse_terms, required_precision
 
@@ -255,6 +256,22 @@ def _split_x_degree(f: RingElem, b: int) -> tuple[RingElem, RingElem]:
     return RingElem(f.params, low_grid), RingElem(f.params, high_grid)
 
 
+def _single_jump_lead(M: ModuleRep, b: int) -> tuple[ModuleRep, RingElem]:
+    """(x^(-s) M, e): s brings the leading y-degree-0 valuation of M down to
+    b, and e is the first RREF row of x^(-s) M divided by its unit, so its
+    y-degree-0 part is exactly x^b."""
+    params = M.params
+    piv = M.num.pivots
+    if not piv or piv[0] >= params.N:
+        raise ShapeError("module has no nonzerodivisor")
+    if piv[0] < b:
+        raise ShapeError(f"leading y-degree-0 valuation {piv[0]} is below the index value {b}")
+    M = divide_by_x_power(M, piv[0] - b)
+    e = unflatten(M.num.rows()[0], params, 1)[0]
+    u = e.level(0)[b:]  # the level-0 part is x^b * u(x) with u(0) = 1
+    return M, e * _poly_elem(_poly_inverse(u, params.N, params.p), params)
+
+
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     """Unique (b, j, z) of a single-jump module, via the geometric-series
     elimination of x^b-divisible correction terms."""
@@ -262,27 +279,12 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
         raise ShapeError("normalize_special expects a plain submodule of A")
     params = M.params
     n = params.n
-    beta = indices(M)
-    j, b = jump_position(beta)
-    piv = M.num.pivots
-    if not piv or piv[0] >= params.N:
-        raise ShapeError("module has no nonzerodivisor")
-    if piv[0] > b:
-        M = divide_by_x_power(M, piv[0] - b)
-    elif piv[0] < b:
-        raise ShapeError(
-            f"leading y-degree-0 valuation {piv[0]} is below the index value {b}")
+    j, b = jump_position(indices(M))
+    M, e = _single_jump_lead(M, b)
     yj = RingElem.monomial(params, 1, 0, j)
     if not M.contains(yj):
         raise ShapeError(f"module does not contain y^{j}; not in two-generator shape")
-
-    from .modules import unflatten
-
-    e = unflatten(M.num.rows()[0], params, 1)[0]
-    unit = e.level(0)
-    u = tuple(unit[b:])  # level-0 part is x^b * u(x) with u(0) = 1
-    u_inv = _poly_elem(_poly_inverse(u, params.N, params.p), params)
-    e = (e * u_inv).truncate_y(j)
+    e = e.truncate_y(j)
     # e has y-degree-0 part exactly x^b; M must be (e, y^j)
     if not span_from_generators([e, yj], params=params).num == M.num:
         raise ShapeError("module is not generated by (x^b + alpha*y, y^j)")
@@ -330,27 +332,9 @@ def iter_normal_forms(n: int, beta_max: int, p: int):
     pairs = [(i, j) for i in range(3, n + 1) for j in range(1, i - 1)]
     for beta in iter_monotone_vectors(n - 1, beta_max):
         b = (0,) + beta
-        degs = [b[n - j] - b[n - j - 1] for (_, j) in pairs]
-        block = []
-        counter = [0] * len(pairs)
-        total = 1
-        for d in degs:
-            total *= p**d
-        for _ in range(total):
-            alpha = {}
-            for idx, (pos, d) in enumerate(zip(pairs, degs)):
-                val, coeffs = counter[idx], []
-                for _ in range(d):
-                    coeffs.append(val % p)
-                    val //= p
-                if any(coeffs):
-                    alpha[pos] = tuple(coeffs)
-            block.append(make_general_form(n, beta, alpha))
-            for idx, d in enumerate(degs):
-                counter[idx] += 1
-                if counter[idx] < p**d:
-                    break
-                counter[idx] = 0
+        grids = [itertools.product(range(p), repeat=b[n - j] - b[n - j - 1]) for (_, j) in pairs]
+        block = [make_general_form(n, beta, dict(zip(pairs, coeffs)))
+                 for coeffs in itertools.product(*grids)]
         block.sort(key=lambda f: f.alpha)
         yield from block
 

@@ -54,3 +54,15 @@ def naive_span_dim(gens, params: RingParams) -> int:
 
 def naive_quotient_length(gens_big, gens_small, params: RingParams) -> int:
     return naive_span_dim(gens_big, params) - naive_span_dim(gens_small, params)
+
+
+# The paper's closed forms for the local Ext^1 length, written out here so the
+# tests do not check production code against itself.
+
+
+def ext1_special_closed_form(n, jump, b):
+    return 2 * min(jump, n - jump) * b
+
+
+def ext1_n3_closed_form(b1, b2):
+    return 2 * b2 + 2 * min(b1, b2 - b1)

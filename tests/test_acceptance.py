@@ -10,7 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from multicurve.ext import ext1_n3_closed_form, ext1_special_closed_form, local_ext1_length
+from helpers import ext1_n3_closed_form, ext1_special_closed_form
+
+from multicurve.ext import local_ext1_length
 from multicurve.invariants import (
     CurveParams,
     deg_pure_quotient,

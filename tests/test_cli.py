@@ -53,7 +53,7 @@ class TestIndicesCommand:
         assert payload["beta"] == [1, 2]
 
     def test_precision_override_after_comment(self, capsys, tmp_path, monkeypatch):
-        # at the file's own N=2, x^2 vanishes and the module is not invertible
+        # at the file's own N=2 the term x^2 does not fit, so the file is refused
         path = tmp_path / "commented.txt"
         path.write_text("# the (x^2, xy, y^2) ideal\n\nring n=3 N=2 p=2 rank=1\nx^2\nx*y\ny^2\n")
         assert main(["indices", str(path)]) == 1

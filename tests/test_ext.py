@@ -1,12 +1,12 @@
 import pytest
 
+from helpers import ext1_n3_closed_form, ext1_special_closed_form
+
 from multicurve.errors import MissingInput, ShapeError, UnsupportedConfig
 from multicurve.ext import (
     ResolutionData,
     build_resolution,
     closed_form_ext1,
-    ext1_n3_closed_form,
-    ext1_special_closed_form,
     global_ext1_dimension,
     local_ext1_length,
 )

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import naive_span_dim
 
@@ -22,7 +23,7 @@ from multicurve.modules import (
     span_from_generators,
     zero_module,
 )
-from multicurve.ring import RingElem, RingParams, parse_elem
+from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
 P3 = RingParams(3, 18, 2)
 P2 = RingParams(2, 12, 2)
@@ -283,6 +284,19 @@ class TestIsomorphismOracle:
         assert is_isomorphic_oracle(
             monomial_ideal, monomial_ideal, budget=1, samples=2000) == "yes"
 
+    def test_largest_prime(self):
+        # single-jump stalks (x + z*y, y^2) at n = 4: z is unique, so z = 5 and
+        # z = 6 are not isomorphic, while unit-disguised generators are
+        par = RingParams(4, required_precision(4, 1), 65521)
+        a = mod(par, "x + 5*y", "y^2")
+        u, v = parse_elem("7 + x + y", par), parse_elem("65520 + 3*x", par)
+        disguised = span_from_generators(
+            [u * parse_elem("y^2", par), v * parse_elem("x + 5*y", par)])
+        assert is_isomorphic_oracle(a, disguised) == "yes"
+        assert is_isomorphic_oracle(disguised, a) == "yes"
+        twisted = mod(par, "x + 6*y", "y^2")
+        assert is_isomorphic_oracle(a, twisted, budget=1, samples=64) != "yes"
+
 
 class TestModuleFiles:
     def test_round_trip(self, monomial_ideal):
@@ -303,3 +317,39 @@ class TestModuleFiles:
         assert M.ambient_rank == 2
         # second component is everything (16); modulo that, the first runs over x*A (14)
         assert M.length() == 30
+
+    def test_coefficient_outside_the_field_rejected(self):
+        with pytest.raises(DomainError):
+            parse_module_text("ring n=2 N=12 p=7 rank=1\n7*x + y\nx^2\n")
+        with pytest.raises(DomainError):
+            parse_module_text("ring n=2 N=12 p=7 rank=2\nx, -8*y\n")
+
+    def test_x_degree_beyond_precision_rejected(self):
+        with pytest.raises(DomainError):
+            parse_module_text("ring n=2 N=12 p=7 rank=1\nx^100 + y\nx^2\n")
+        with pytest.raises(DomainError):
+            parse_module_text("ring n=2 N=12 p=7 rank=1\nx^12\n")
+
+    def test_faithful_terms_accepted(self):
+        M = parse_module_text("ring n=2 N=12 p=7 rank=1\n6*x^11 - y\n-6*x^2 + y^2\n")
+        par = RingParams(2, 12, 7)
+        assert M.num == mod(par, "6*x^11 + 6*y", "x^2").num
+
+
+@st.composite
+def module_specs(draw):
+    params = RingParams(draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                        draw(st.sampled_from([2, 3, 65521])))
+    rank = draw(st.integers(1, 2))
+    row = st.lists(st.integers(0, params.p - 1), min_size=params.N, max_size=params.N)
+    elem = st.lists(row, min_size=params.n, max_size=params.n).map(lambda g: RingElem(params, g))
+    vecs = st.lists(elem, min_size=rank, max_size=rank).map(tuple)
+    return params, rank, draw(st.lists(vecs, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=module_specs())
+def test_module_spec_round_trip(spec):
+    params, rank, gens = spec
+    M = parse_module_text(format_module(params, rank, gens))
+    assert M.num == span_from_generators(gens, params=params, ambient_rank=rank).num

@@ -1,5 +1,6 @@
 import pytest
 
+from multicurve import moduli
 from multicurve.errors import (
     DomainError,
     MissingInput,
@@ -270,6 +271,20 @@ class TestConnectivity:
                 for D in range(n):
                     res = connectivity(CurveParams(n, 2, delta, D))
                     assert res.component_count <= max(n ** (n - 2), 1)
+
+    def test_complete_search_is_not_truncated(self):
+        res = connectivity(CurveParams(4, 2, 2, 0))
+        assert not res.truncated
+        assert res.configs_visited >= len(res.labels)  # a seed per label at least
+
+    def test_config_cap_reports_truncation(self, monkeypatch):
+        cp = CurveParams(4, 2, 2, 0)
+        full = connectivity(cp)
+        monkeypatch.setattr(moduli, "MAX_CONFIGS", 1)
+        res = connectivity(cp)
+        assert res.truncated
+        assert res.configs_visited < full.configs_visited
+        assert res.labels == full.labels
 
     def test_dot_export(self):
         res = connectivity(CurveParams(3, 2, 2, 0))
