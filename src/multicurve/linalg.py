@@ -10,6 +10,22 @@ K residues, at most K * (p - 1)^2 < K * 2^32, which is exact in int64 for
 every inner dimension K < 2^31.  Products are therefore taken in int64,
 never in float64 (exact only while K * (p - 1)^2 < 2^53, i.e. K < 2^21 at
 p = 65521), so no computation here ever rounds.
+
+Every product with a basis, `out - coef @ basis` in `_subtract_product`,
+takes one of two paths, chosen by the density of coef (its nonzeros over
+its entries):
+- below DENSE_FROM (0.25), a gather: the basis rows that the nonzero
+  coefficients touch are scaled and summed per target row, in chunks of at
+  most GATHER_ENTRIES temporary entries.  A target row then holds a residue
+  minus at most K products, each below 2^32, so it stays above -K * 2^32;
+  exact for K < 2^31.
+- from DENSE_FROM on, the plain int64 product coef @ basis, whose entries
+  are sums of K products below 2^32; exact for the same K < 2^31.
+The gather costs per nonzero and the product per entry.  Measured with
+int64 numpy on 2 cores, the gather stops being faster at a density of about
+0.1 on 150 x 150 coefficients against 300 columns and at 0.35-0.45 on
+300-1,000 rows; at 0.25 neither path is more than 2.5x slower than the
+other.  Both paths give the same residues, so the choice moves time only.
 """
 
 from __future__ import annotations
@@ -55,20 +71,29 @@ def _rref(mat, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a[: len(pivots)], np.array(pivots, dtype=np.int64)
 
 
+GATHER_ENTRIES = 1 << 16  # entries of the gather temporary in `_subtract_product` (512 KB)
+DENSE_FROM = 0.25  # density of the coefficients from which the plain product is cheaper
+
+
 def _subtract_product(out: np.ndarray, coef: np.ndarray, basis: np.ndarray, p: int) -> None:
     """out <- (out - coef @ basis) mod p, in place.
 
     The coefficients are mostly zero (basis rows of x,y-closed spaces are
-    nearly monomial), so only the basis rows they touch are summed, grouped by
-    target row.  That temporary has one row per nonzero coefficient; past
-    four per target row the plain product is taken instead.
+    nearly monomial), so below DENSE_FROM nonzeros per entry only the basis
+    rows they touch are gathered and summed per target row, in chunks of at
+    most GATHER_ENTRIES temporary entries; a target row split between two
+    chunks gets its two partial sums subtracted in turn.  Denser blocks take
+    the plain int64 product, whose cost does not depend on the zeros.
     """
     i, j = coef.nonzero()
-    if i.size > 4 * out.shape[0]:
+    if i.size > DENSE_FROM * coef.size:
         out -= coef @ basis
-    elif i.size:
-        first = np.flatnonzero(np.diff(i, prepend=-1))  # i is sorted
-        out[i[first]] -= np.add.reduceat(coef[i, j, None] * basis[j], first)
+    else:
+        step = max(1, GATHER_ENTRIES // max(1, basis.shape[1]))
+        for lo in range(0, i.size, step):
+            ci, cj = i[lo : lo + step], j[lo : lo + step]
+            first = np.flatnonzero(np.diff(ci, prepend=-1))  # ci is sorted
+            out[ci[first]] -= np.add.reduceat(coef[ci, cj, None] * basis[cj], first)
     out %= p
 
 
@@ -169,6 +194,11 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-rows[:, free].T) % p
     return basis
+
+
+def echelon(mat, p: int) -> np.ndarray:
+    """The nonzero rows of the reduced row echelon form of mat over F_p."""
+    return _rref(mat, p)[0]
 
 
 def rank(mat, p: int) -> int:

@@ -19,6 +19,15 @@ most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.  A whole
 multiplication matrix is `_mul_rows(g, eye(L))`: row k is g times the k-th
 grid monomial.
 
+Modules built from rows (generators, lifts, x-division, the dual) are
+closed by `_close_rows`.  A stalk is presented by at most n generators, so
+the module they span is the F_p-span of the monomial multiples x^a y^i g.
+`_close_rows` builds it in three eliminations, with no round loop: the span
+S of the rows, the echelon basis E of the residues mod S of x*S and y*S,
+and S plus the multiples of E, one y-level per insert (its docstring has
+the argument).  The RREF of a space is unique, so the result does not
+depend on how the space was reached.
+
 Both Hom computations are transporters ("colons") built by `_colon`: the
 dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
 (uM' : M) inside M'.  Every elimination, the oracle's rank test on each
@@ -95,27 +104,45 @@ def _mul_rows(g: np.ndarray, rows: np.ndarray, params: RingParams, rank: int) ->
 
 
 def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subspace:
-    """Smallest x,y-closed subspace containing the given rows.
+    """Smallest x,y-closed subspace containing the given rows, with no round loop.
 
-    Each round inserts the x- and y-shifts of the rows the previous round
-    added (the shifts of older rows are already in); a round that adds
-    nothing ends the closure.
+    With S the span of the rows and E an echelon basis of the residues mod S
+    of the x- and y-shifts of S's basis, the closure is S plus the monomial
+    multiples x^a y^i e of E: x*s and y*s lie in S + span(E) for s in S, the
+    multiples of E are closed, and E lies in the closure.  Levels i <= n - 2
+    already suffice when n >= 2: applying the y-steps of x^a y^k (k < n)
+    first, x^a y^k s is s_k in S plus multiples x^a y^(k-j) e_j, j >= 1, from
+    the y-steps and x^(a-l) f_l from the x-steps, with e_j, f_l in span(E).
+
+    One insert per level: level 0 is every x^a e (len(E) * N rows), and
+    level i is y times the basis rows that level i - 1 added.  With V_i the
+    space after level i, y * S lies in V_0 and, by induction, y * V_(i-1) in
+    V_i (V_(i-1) is V_(i-2) plus the rows level i - 1 added), so
+    x^a y^i e = y * x^a y^(i-1) e lies in V_i.  A level that adds nothing
+    leaves a y-closed space holding every multiple of E, so the closure is
+    reached.  Later levels thus shrink with the rows still missing, and a
+    closure makes at most 1 + max(n - 1, 1) inserts.
     """
-    sub = linalg.Subspace(params.p, rank * params.n * params.N)
-    block = rows
-    while True:
+    width = rank * params.n * params.N
+    sub = linalg.span(rows, params.p, width)
+    basis = sub.rows()
+    shifts = np.vstack([_shift(basis, params, rank, 1, 0), _shift(basis, params, rank, 0, 1)])
+    extra = linalg.echelon(sub.reduce(shifts), params.p)
+    block = np.vstack([_shift(extra, params, rank, a, 0) for a in range(params.N)])
+    for _ in range(max(params.n - 1, 1) if len(extra) else 0):
         before = sub.pivots
         if not sub.insert(block):
-            return sub
+            break
         added = sub.rows()[~np.isin(sub.pivots, before)]
-        block = np.vstack([_shift(added, params, rank, 1, 0), _shift(added, params, rank, 0, 1)])
+        block = _shift(added, params, rank, 0, 1)
+    return sub
 
 
 def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
     arr = rows.reshape(-1, rank, params.n, params.N)
     out = np.zeros((arr.shape[0], rank, params.n, big.N), dtype=np.int64)
     out[..., : params.N] = arr
-    return out.reshape(arr.shape[0], -1)
+    return out.reshape(arr.shape[0], rank * params.n * big.N)
 
 
 # -- the module representation ------------------------------------------

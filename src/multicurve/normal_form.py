@@ -40,7 +40,7 @@ def jump_position(beta) -> tuple[int, int]:
     """(j, b) for a single-jump index vector, else ShapeError."""
     n = len(beta) + 1
     beta = validate_indices(beta, n)
-    b = beta[-1]
+    b = beta[-1] if beta else 0
     if b == 0:
         raise ShapeError("free module: the index vector has no jump")
     j = next(i for i in range(1, n) if beta[i - 1] > 0)
@@ -279,7 +279,10 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
         raise ShapeError("normalize_special expects a plain submodule of A")
     params = M.params
     n = params.n
-    j, b = jump_position(indices(M))
+    beta = indices(M)
+    if len(beta) != n - 1:
+        raise ShapeError(f"module is supported on a proper subcurve (indices {beta})")
+    j, b = jump_position(beta)
     M, e = _single_jump_lead(M, b)
     yj = RingElem.monomial(params, 1, 0, j)
     if not M.contains(yj):

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the production code paths: spans are computed by
-multiplying generators with every monomial through RingElem arithmetic and
-row-reducing with a self-contained pure-Python elimination.
+multiplying generators with every monomial through RingElem arithmetic (or,
+for flat rows, by moving their coordinates) and row-reducing with a
+self-contained pure-Python elimination.
 """
 
 from multicurve.ring import RingElem, RingParams
@@ -35,6 +36,46 @@ def _row_reduce_dim(rows, p):
         rows = reduced
         dim += 1
     return dim
+
+
+def _eliminate(row, pivot, col, p):
+    """row minus the multiple of the unit-pivot row that clears column col."""
+    c = row[col]
+    return [(a - c * b) % p for a, b in zip(row, pivot)] if c else row
+
+
+def rref_rows(rows, p):
+    """Reduced row echelon form (nonzero rows, pivots ascending) by a
+    self-contained pure-Python Gauss-Jordan elimination."""
+    rows = [[v % p for v in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[col], p - 2, p)
+        pivot = [(inv * v) % p for v in pivot]
+        out = [_eliminate(r, pivot, col, p) for r in out] + [pivot]
+        rows = [_eliminate(r, pivot, col, p) for r in rows]
+    return out
+
+
+def naive_closure(rows, params: RingParams, rank: int):
+    """RREF rows of the span of every monomial multiple x^a y^i of the flat
+    rows (layout (c*n + i)*N + a), built coordinate by coordinate."""
+    n, N = params.n, params.N
+    multiples = []
+    for row in rows:
+        for i in range(n):
+            for a in range(N):
+                out = [0] * (rank * n * N)
+                for c in range(rank):
+                    for lev in range(n - i):
+                        for x in range(N - a):
+                            out[(c * n + lev + i) * N + x + a] = int(row[(c * n + lev) * N + x])
+                multiples.append(out)
+    return rref_rows(multiples, params.p)
 
 
 def naive_span_dim(gens, params: RingParams) -> int:

@@ -78,6 +78,12 @@ class TestOracleCommands:
         assert code == 0
         assert (payload["b"], payload["j"], payload["z"]) == (2, 2, [])
 
+    def test_normalize_on_a_proper_subcurve_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "subcurve.txt"
+        path.write_text("ring n=3 N=18 p=2 rank=1\ny^2\n")
+        assert main(["normalize", str(path)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_ext(self, capsys, module_file):
         code, payload = run_json(capsys, ["ext", module_file])
         assert code == 0

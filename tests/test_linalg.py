@@ -1,5 +1,6 @@
 """Property tests of the mod-p elimination kernel against the independent
-pure-Python elimination of tests/helpers.py.
+pure-Python elimination of tests/helpers.py, and of both paths of its
+product `_subtract_product` against exact integer products.
 
 p = 65521 is the largest prime below 2^16, the largest modulus RingParams
 admits, so accumulated products are as large as the package ever makes them.
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicurve.linalg import Subspace, nullspace, rank, span
+from multicurve import linalg
+from multicurve.linalg import Subspace, _subtract_product, nullspace, rank, span
 
 from helpers import _row_reduce_dim
 
@@ -130,3 +132,43 @@ def test_largest_residues(p):
     vec = np.full(k, p - 1, dtype=np.int64)
     assert sub.contains(vec)
     assert not ((mat @ nullspace(mat, p).T) % p).any()
+
+
+def plain_difference(out, coef, basis, p):
+    """(out - coef @ basis) mod p in Python integers."""
+    return (out.astype(object) - coef.astype(object) @ basis.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subtract_product_matches_the_plain_product(p, data):
+    # densities on both sides of DENSE_FROM; small chunks split rows between chunks
+    m, k, width = (data.draw(st.integers(0, 8)) for _ in range(3))
+    density = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coef = rng.integers(1, p, (m, k)) * (rng.random((m, k)) < density)
+    basis = rng.integers(0, p, (k, width))
+    out = rng.integers(0, p, (m, width))
+    chunk = data.draw(st.sampled_from([1, 2, 3, 1 << 16]))
+    expected = plain_difference(out, coef, basis, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "GATHER_ENTRIES", chunk * max(1, width))
+        _subtract_product(out, coef, basis, p)
+    assert np.array_equal(out, expected.astype(np.int64))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gather_with_a_row_split_between_chunks(p, monkeypatch):
+    # 6 nonzeros in 3 x 12 coefficients (density 1/6, the gather path), three
+    # per chunk: row 1 has one nonzero in the first chunk and two in the second
+    coef = np.zeros((3, 12), dtype=np.int64)
+    coef[0, [1, 5]] = p - 1
+    coef[1, [0, 6, 11]] = [p - 2, 1, p - 1]
+    coef[2, 3] = p - 1
+    basis = (np.arange(12 * 7).reshape(12, 7) * 7919) % p
+    out = np.full((3, 7), p - 1, dtype=np.int64)
+    expected = plain_difference(out, coef, basis, p)
+    monkeypatch.setattr(linalg, "GATHER_ENTRIES", 3 * 7)
+    _subtract_product(out, coef, basis, p)
+    assert np.array_equal(out, expected.astype(np.int64))

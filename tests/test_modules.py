@@ -202,6 +202,13 @@ class TestIndices:
         lifted = lift_module(monomial_ideal, P3.N + 4)
         assert indices(lifted) == indices(monomial_ideal)
 
+    def test_lift_without_generators(self, monomial_ideal):
+        # the padded basis is re-closed; the zero module lifts to the zero module
+        bare = ModuleRep(P3, 1, monomial_ideal.num)
+        assert lift_module(bare, P3.N + 4) == lift_module(monomial_ideal, P3.N + 4)
+        zero = ModuleRep(P3, 1, zero_module(P3).num)
+        assert lift_module(zero, P3.N + 2).is_zero()
+
 
 class TestPureQuotient:
     def test_full_depth_is_identity(self, monomial_ideal):

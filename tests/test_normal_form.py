@@ -112,6 +112,14 @@ class TestNormalizeSpecial:
         assert jump_position((1, 1)) == (1, 1)
         with pytest.raises(ShapeError):
             jump_position((1, 2))
+        with pytest.raises(ShapeError):
+            jump_position(())
+
+    @pytest.mark.parametrize("gens", [("y^2",), ("y",), ("x*y", "y^2")])
+    def test_rejects_module_on_a_proper_subcurve(self, gens):
+        # indices of a stalk on C_m have m - 1 < n - 1 entries
+        with pytest.raises(ShapeError):
+            normalize_special(mod(P3, *gens))
 
 
 class TestUniqueness:
