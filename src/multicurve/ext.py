@@ -39,9 +39,8 @@ from .modules import (
     _mul_rows,
     flatten,
     lift_module,
-    span_from_generators,
 )
-from .normal_form import _single_jump_lead, jump_position
+from .normal_form import _presentation_lead, jump_position
 from .ring import RingElem
 
 
@@ -80,32 +79,12 @@ class ResolutionData:
 # -- shape extraction ------------------------------------------------------
 
 
-def _special_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
-    """(lead, j, b) with I = (lead, y^j) and lead = x^b + alpha*y, or ShapeError."""
-    j, b = jump_position(beta)
-    I, lead = _single_jump_lead(I, b)
-    params = I.params
-    yj = RingElem.monomial(params, 1, 0, j)
-    if not I.contains(yj):
-        raise ShapeError(f"module does not contain y^{j}")
-    lead = lead.truncate_y(j)
-    if span_from_generators([lead, yj], params=params).num != I.num:
-        raise ShapeError("module is not of the two-generator shape (x^b + alpha*y, y^j)")
-    return lead, j, b
-
-
 def _n3_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
     """(alpha, b1, b2) for the three-generator multiplicity-3 shape."""
     b1, b2 = beta
-    I, lead = _single_jump_lead(I, b2)
     params = I.params
-    g2 = RingElem.monomial(params, 1, b2 - b1, 1)
-    g1 = RingElem.monomial(params, 1, 0, 2)
-    if not (I.contains(g1) and I.contains(g2)):
-        raise ShapeError("module does not contain x^(b2-b1)*y and y^2")
-    lead = lead.truncate_y(2)
-    if span_from_generators([lead, g2, g1], params=params).num != I.num:
-        raise ShapeError("module is not of the shape (x^b2 + alpha*y, x^(b2-b1)*y, y^2)")
+    fixed = [RingElem.monomial(params, 1, b2 - b1, 1), RingElem.monomial(params, 1, 0, 2)]
+    lead = _presentation_lead(I, b2, fixed, 2)
     # alpha is only relevant modulo x^(b2-b1) (presentation ambiguity) and
     # modulo x^b1 (an isomorphism of stalks); reduce before resolving.
     cut = min(b1, b2 - b1)
@@ -130,9 +109,10 @@ def build_resolution(I: ModuleRep, beta=None) -> ResolutionData:
 
     single_jump = all(v in (0, beta[-1]) for v in beta)
     if single_jump:
-        lead, j, _b = _special_shape(I, beta)
-        ynj = RingElem.monomial(params, 1, 0, n - j) if n - j < n else zero
+        j, b = jump_position(beta)
         yj = RingElem.monomial(params, 1, 0, j)
+        lead = _presentation_lead(I, b, [yj], j)  # I = (x^b + alpha*y, y^j)
+        ynj = RingElem.monomial(params, 1, 0, n - j) if n - j < n else zero
         M1 = ((ynj, -lead), (zero, yj))
         M2 = ((yj, lead), (zero, ynj))
         return ResolutionData((yj, lead), M1, M2)

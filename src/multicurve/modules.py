@@ -28,9 +28,16 @@ and S plus the multiples of E, one y-level per insert (its docstring has
 the argument).  The RREF of a space is unique, so the result does not
 depend on how the space was reached.
 
+That RREF is already the module's F_p[[x]]-lattice (Hermite, Howell) basis:
+in an x-closed space the pivots of each (component, y-level) block run from
+some v_b to the block's end, so the rows at each block's first pivot
+(`_lattice_rows`, at most n*r) and their x-multiples form a basis.  Lifts,
+x-division and colons over a module with no remembered generators start
+from these rows, never from the whole basis.
+
 Both Hom computations are transporters ("colons") built by `_colon`: the
 dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
-(uM' : M) inside M'.  Every elimination, the oracle's rank test on each
+(uM' : M).  Every elimination, the oracle's rank test on each
 candidate map included, goes through `linalg`.
 """
 
@@ -128,14 +135,26 @@ def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subsp
     basis = sub.rows()
     shifts = np.vstack([_shift(basis, params, rank, 1, 0), _shift(basis, params, rank, 0, 1)])
     extra = linalg.echelon(sub.reduce(shifts), params.p)
+    if not len(extra):  # S is closed already
+        return sub
     block = np.vstack([_shift(extra, params, rank, a, 0) for a in range(params.N)])
-    for _ in range(max(params.n - 1, 1) if len(extra) else 0):
+    for _ in range(max(params.n - 1, 1)):
         before = sub.pivots
         if not sub.insert(block):
             break
         added = sub.rows()[~np.isin(sub.pivots, before)]
         block = _shift(added, params, rank, 0, 1)
     return sub
+
+
+def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
+    """The RREF rows at the first pivot of each (component, y-level) block
+    of an x-closed space: at most n*r rows, read off with no elimination.
+    x moves a leading column one step along its block, so a block's pivots
+    run from some v_b to its end, and the x-multiples of these rows have dim
+    distinct leading columns: they form a basis."""
+    block = np.asarray(sub.pivots, dtype=np.int64) // params.N
+    return sub.rows()[np.flatnonzero(np.diff(block, prepend=-1))]
 
 
 def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
@@ -237,25 +256,21 @@ def full_ring(params: RingParams) -> ModuleRep:
 def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     """Reinstantiate M at a higher x-precision.
 
-    Prefers the remembered generators; otherwise pads the echelon basis and
-    re-closes (top x-degrees regained by the x-action).  At M's own
+    num is the closure of `_generator_rows`(M) (the remembered generators,
+    which are carried over, else the lattice rows) and den that of den's
+    lattice rows, padded with zero top x-degrees that the x-action regains.
+    In rank 1 this is the closure of the whole padded basis: in every block
+    with a pivot both gain exactly the new top degrees.  At M's own
     precision this is M itself.
     """
     if N_new == M.params.N:
         return M
-    big = M.params.with_precision(N_new)
-    if M.gens is not None:
-        lifted = [tuple(e.lift(big) for e in vec) for vec in M.gens]
-        out = span_from_generators(lifted, params=big, ambient_rank=M.ambient_rank)
-        if M.den.dim:
-            den = _close_rows(_pad_rows(M.den.rows(), M.params, M.ambient_rank, big), big, M.ambient_rank)
-            out = ModuleRep(big, M.ambient_rank, out.num, den, gens=out.gens)
-        return out
-    num = _close_rows(_pad_rows(M.num.rows(), M.params, M.ambient_rank, big), big, M.ambient_rank)
-    den = None
-    if M.den.dim:
-        den = _close_rows(_pad_rows(M.den.rows(), M.params, M.ambient_rank, big), big, M.ambient_rank)
-    return ModuleRep(big, M.ambient_rank, num, den)
+    par, rank = M.params, M.ambient_rank
+    big = par.with_precision(N_new)
+    num, den = (_close_rows(_pad_rows(rows, par, rank, big), big, rank)
+                for rows in (_generator_rows(M), _lattice_rows(M.den, par)))
+    gens = None if M.gens is None else tuple(tuple(e.lift(big) for e in vec) for vec in M.gens)
+    return ModuleRep(big, rank, num, den, gens)
 
 
 # -- filtrations --------------------------------------------------------
@@ -316,7 +331,8 @@ def divide_by_x_power(M: ModuleRep, s: int) -> ModuleRep:
     if M.den.dim:
         raise DomainError("x-power division is defined for plain modules only")
     params, rank = M.params, M.ambient_rank
-    rows = M.num.rows().reshape(-1, rank, params.n, params.N)
+    # every element is an F_p-combination of x-multiples of the lattice rows
+    rows = _lattice_rows(M.num, params).reshape(-1, rank, params.n, params.N)
     if rows[..., :s].any():
         raise DomainError(f"module is not divisible by x^{s}")
     out = np.zeros_like(rows)
@@ -454,9 +470,10 @@ def indices_by_definition(M: ModuleRep) -> tuple[int, ...]:
 
 
 def _generator_rows(M: ModuleRep) -> np.ndarray:
-    """Flat rows of M's remembered generators, else of its echelon basis."""
+    """Flat rows of M's remembered generators, else its lattice rows (at most
+    n*r rows that generate num even as an F_p[[x]]-module)."""
     if M.gens is None:
-        return M.num.rows()
+        return _lattice_rows(M.num, M.params)
     return np.array([flatten(g, M.params, M.ambient_rank) for g in M.gens],
                     dtype=np.int64).reshape(-1, M.width)
 
@@ -489,8 +506,8 @@ def _require_full_invertible(M: ModuleRep) -> None:
         raise NotInvertibleError("module is supported on a proper subcurve")
 
 
-def _colon(target: linalg.Subspace, M: ModuleRep, within: linalg.Subspace | None = None) -> np.ndarray:
-    """Basis rows of the transporter {t in A : t*M <= target}, inside `within` if given.
+def _colon(target: linalg.Subspace, M: ModuleRep) -> np.ndarray:
+    """Basis rows of the transporter {t in A : t*M <= target}.
 
     Row k of `_mul_rows(g, eye(L))` is g times the k-th grid monomial, so the
     transposed residues mod target map t to the residue of g*t; the colon is
@@ -499,8 +516,6 @@ def _colon(target: linalg.Subspace, M: ModuleRep, within: linalg.Subspace | None
     par = M.params
     grid = np.eye(par.n * par.N, dtype=np.int64)
     blocks = [target.reduce(_mul_rows(g, grid, par, 1)).T for g in _generator_rows(M)]
-    if within is not None:
-        blocks.append(within.reduce(grid).T)
     return linalg.nullspace(np.vstack(blocks), par.p)
 
 
@@ -516,10 +531,9 @@ def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
     M2 = lift_module(M, work.N)
     s_row, _ = _min_valuation_element(M2)
     sol = _colon(_close_rows(s_row.reshape(1, -1), work, 1), M2)
-    # truncate coefficients back to x-degree < N_target
-    small = M.params.with_precision(N_target)
+    # truncation is a ring map, so the image of the colon ideal is an ideal
     keep = np.concatenate([np.arange(i * work.N, i * work.N + N_target) for i in range(work.n)])
-    return _close_rows(sol[:, keep], small, 1)
+    return linalg.span(sol[:, keep], work.p, work.n * N_target)
 
 
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:
@@ -556,8 +570,15 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     c = W.dim - Wm.dim
     v_pivots = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
 
-    # T = {t in M' : t * M <= u * M'} is Hom(M, M') via t -> (m -> t*m / u)
-    T_rows = _colon(W, A, within=B.num)
+    # T = (uM' : M) is Hom(M, M') via t -> (m -> t*m / u).  T lies in M'
+    # once N >= n*(v + v'), v and v' the y-degree-0 valuations of M and M'
+    # (a normal form with indices <= B has v <= B, so N_min suffices).  In
+    # the untruncated ring R = F_p[[x]][y]/(y^n) the lattice uM' has n pivots
+    # of valuation <= v + v', so its colength is <= n*(v + v') and
+    # x^N R <= uM'.  Then t*M <= uM' holds in R, so t*u = u*m' with m' in M',
+    # and u (nonzero y-degree-0 part) is a nonzerodivisor of R: t = m'.
+    # Below that precision the N/N+2 certification guards the verdict.
+    T_rows = _colon(W, A)
     d = T_rows.shape[0]
     if d == 0:
         return NO

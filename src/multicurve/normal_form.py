@@ -256,10 +256,14 @@ def _split_x_degree(f: RingElem, b: int) -> tuple[RingElem, RingElem]:
     return RingElem(f.params, low_grid), RingElem(f.params, high_grid)
 
 
-def _single_jump_lead(M: ModuleRep, b: int) -> tuple[ModuleRep, RingElem]:
-    """(x^(-s) M, e): s brings the leading y-degree-0 valuation of M down to
-    b, and e is the first RREF row of x^(-s) M divided by its unit, so its
-    y-degree-0 part is exactly x^b."""
+def _presentation_lead(M: ModuleRep, b: int, fixed, cut: int) -> RingElem:
+    """The lead e of a presentation x^(-s) M = (e, *fixed), or ShapeError.
+
+    s brings the leading y-degree-0 valuation of M down to b, and e is the
+    first RREF row of x^(-s) M divided by its unit (so its y-degree-0 part is
+    exactly x^b), truncated below y^cut.  x^(-s) M must contain every fixed
+    generator and be spanned by e and them.
+    """
     params = M.params
     piv = M.num.pivots
     if not piv or piv[0] >= params.N:
@@ -269,7 +273,13 @@ def _single_jump_lead(M: ModuleRep, b: int) -> tuple[ModuleRep, RingElem]:
     M = divide_by_x_power(M, piv[0] - b)
     e = unflatten(M.num.rows()[0], params, 1)[0]
     u = e.level(0)[b:]  # the level-0 part is x^b * u(x) with u(0) = 1
-    return M, e * _poly_elem(_poly_inverse(u, params.N, params.p), params)
+    e = (e * _poly_elem(_poly_inverse(u, params.N, params.p), params)).truncate_y(cut)
+    missing = [format_elem(g) for g in fixed if not M.contains(g)]
+    if missing:
+        raise ShapeError(f"module does not contain {' and '.join(missing)}")
+    if span_from_generators([e, *fixed], params=params).num != M.num:
+        raise ShapeError(f"module is not generated by ({', '.join(map(format_elem, [e, *fixed]))})")
+    return e
 
 
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
@@ -283,15 +293,8 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     if len(beta) != n - 1:
         raise ShapeError(f"module is supported on a proper subcurve (indices {beta})")
     j, b = jump_position(beta)
-    M, e = _single_jump_lead(M, b)
-    yj = RingElem.monomial(params, 1, 0, j)
-    if not M.contains(yj):
-        raise ShapeError(f"module does not contain y^{j}; not in two-generator shape")
-    e = e.truncate_y(j)
-    # e has y-degree-0 part exactly x^b; M must be (e, y^j)
-    if not span_from_generators([e, yj], params=params).num == M.num:
-        raise ShapeError("module is not generated by (x^b + alpha*y, y^j)")
-
+    # M = (e, y^j), and e has y-degree-0 part exactly x^b
+    e = _presentation_lead(M, b, [RingElem.monomial(params, 1, 0, j)], j)
     alpha = (e - RingElem.monomial(params, 1, b, 0)).divide_y(1)
     jb = jbar(n, j)
     alpha = alpha.truncate_y(jb)
@@ -350,8 +353,7 @@ class EnumeratedModule:
 
 
 def enumerate_invertible_modules(n: int, beta_max: int, params: RingParams,
-                                 ceiling: int = 4096, dedup: bool = True,
-                                 seed: int = 0) -> list[EnumeratedModule]:
+                                 ceiling: int = 4096, seed: int = 0) -> list[EnumeratedModule]:
     """All normal-form ideals with beta <= beta_max; oracle-flagged duplicates.
 
     The alpha-parametrization is only reduced modulo the presentation's
@@ -365,12 +367,8 @@ def enumerate_invertible_modules(n: int, beta_max: int, params: RingParams,
     by_beta: dict[tuple[int, ...], list[int]] = {}
     for form in forms:
         mod = ideal_from_indices(form, params)
-        dup = None
-        if dedup:
-            for prev in by_beta.get(form.beta, []):
-                if is_isomorphic_oracle(mod, out[prev].module, seed=seed) == "yes":
-                    dup = prev
-                    break
+        dup = next((prev for prev in by_beta.get(form.beta, [])
+                    if is_isomorphic_oracle(mod, out[prev].module, seed=seed) == "yes"), None)
         entry = EnumeratedModule(form, mod, dup)
         by_beta.setdefault(form.beta, []).append(len(out))
         out.append(entry)

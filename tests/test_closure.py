@@ -1,6 +1,7 @@
 """Parity of the x,y-closure `modules._close_rows` with the independent
 closure of tests/helpers.py (the span of every monomial multiple, reduced by
-a pure-Python elimination).
+a pure-Python elimination), and of the lattice rows `modules._lattice_rows`
+that regenerate a closed space.
 
 The RREF of a space is unique, so the closure must match it row for row.
 p = 65521 is the largest prime RingParams admits.
@@ -9,7 +10,8 @@ p = 65521 is the largest prime RingParams admits.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from multicurve.modules import _close_rows, _pad_rows
+from multicurve import linalg
+from multicurve.modules import _close_rows, _lattice_rows, _pad_rows, _shift
 from multicurve.ring import RingParams
 
 from helpers import naive_closure
@@ -86,3 +88,22 @@ def test_a_single_level_when_n_is_1():
     sub = _close_rows(rows, params, 1)
     assert sub.dim == 4
     assert_is_closure(rows, params, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(blocks(max_rows=3))
+def test_lattice_rows_regenerate_a_closed_space(block):
+    params, rank, rows = block
+    sub = _close_rows(rows, params, rank)
+    lattice = _lattice_rows(sub, params)
+    # one row per (component, y-level) block that holds a pivot, at its first pivot
+    blocks_hit = sorted({piv // params.N for piv in sub.pivots})
+    assert len(lattice) == len(blocks_hit) <= params.n * rank
+    firsts = [min(piv for piv in sub.pivots if piv // params.N == b) for b in blocks_hit]
+    assert [int(np.flatnonzero(row)[0]) for row in lattice] == firsts
+    # their x-multiples alone span the space, so closing them gives it back
+    xs = np.vstack([_shift(lattice, params, rank, a, 0) for a in range(params.N)])
+    assert linalg.span(xs, params.p, sub.width) == sub
+    assert _close_rows(lattice, params, rank) == sub
+    expected = np.array(naive_closure(lattice, params, rank), dtype=np.int64)
+    assert np.array_equal(sub.rows(), expected.reshape(-1, sub.width))

@@ -3,10 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import naive_span_dim
 
+from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
+    _colon,
+    _min_valuation_element,
+    _mul_rows,
     dual_module_oracle,
     first_filtration,
     format_module,
@@ -23,6 +27,7 @@ from multicurve.modules import (
     span_from_generators,
     zero_module,
 )
+from multicurve.normal_form import make_special_form, special_ideal
 from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
 P3 = RingParams(3, 18, 2)
@@ -203,11 +208,20 @@ class TestIndices:
         assert indices(lifted) == indices(monomial_ideal)
 
     def test_lift_without_generators(self, monomial_ideal):
-        # the padded basis is re-closed; the zero module lifts to the zero module
+        # the padded lattice rows are re-closed; the zero module lifts to the zero module
         bare = ModuleRep(P3, 1, monomial_ideal.num)
         assert lift_module(bare, P3.N + 4) == lift_module(monomial_ideal, P3.N + 4)
         zero = ModuleRep(P3, 1, zero_module(P3).num)
         assert lift_module(zero, P3.N + 2).is_zero()
+
+    def test_rank_two_lift_without_generators(self):
+        # the module of (1, x^(N-1)) is a graph over its first component; its
+        # basis holds (x, 0), the truncation of (x, x^N), which the lift must
+        # not keep: the lattice rows lift like the generator
+        par = RingParams(2, 5, 3)
+        M = span_from_generators([(RingElem.one(par), parse_elem("x^4", par))])
+        bare = ModuleRep(par, 2, M.num)
+        assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
 
 
 class TestPureQuotient:
@@ -251,6 +265,15 @@ class TestDualOracle:
         assert bare.gens is None
         assert indices(dual_module_oracle(bare)) == (1, 2)
 
+    @pytest.mark.parametrize("n, b, j, z, p", [(6, 1, 3, [[1], [1]], 3), (5, 2, 2, [[1, 2]], 3)])
+    def test_wide_stalks_without_generators(self, n, b, j, z, p):
+        # the lattice rows stand in for the generators: same dual, same lift
+        par = RingParams(n, required_precision(n, b), p)
+        M = special_ideal(make_special_form(n, b, j, z), par)
+        bare = ModuleRep(par, 1, M.num)
+        assert dual_module_oracle(bare) == dual_module_oracle(M)
+        assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
+
     def test_double_dual_isomorphic(self):
         for texts in (("x^2", "x*y", "y^2"), ("x^2+y", "x*y", "y^2"), ("x", "y^2")):
             M = mod(P3, *texts)
@@ -281,6 +304,17 @@ class TestIsomorphismOracle:
 
     def test_different_indices_never_isomorphic(self, monomial_ideal):
         assert is_isomorphic_oracle(monomial_ideal, mod(P3, "x^2", "y^2")) == "no"
+
+    def test_hom_colon_lies_in_the_target(self):
+        # (uM' : M) <= M' once N >= n*(v + v'), v and v' the y-degree-0
+        # valuations: here n = 4, N = 16 and v + v' <= 3
+        par = RingParams(4, required_precision(4, 1), 3)
+        a, b = mod(par, "x + y", "y^2"), mod(par, "x + 2*y", "y^2")
+        for M, Mp in ((a, b), (b, a), (mod(par, "x^2 + x*y", "x*y^2"), a)):
+            u = _min_valuation_element(M)[0]
+            W = linalg.span(_mul_rows(u, Mp.num.rows(), par, 1), par.p, M.width)
+            T = _colon(W, M)
+            assert T.shape[0] and not Mp.num.reduce(T).any()
 
     def test_randomized_path(self, monomial_ideal):
         # budget 1 forces sampling: a failed search is only inconclusive,
