@@ -18,7 +18,7 @@ from . import ext as ext_mod
 from . import moduli as mo
 from . import modules as md
 from . import normal_form as nf
-from .errors import MultiCurveError, PrecisionError, VerificationError
+from .errors import DomainError, MultiCurveError, PrecisionError, VerificationError
 from .invariants import CurveParams
 from .ring import RingParams
 from .stability import check_stability, jh_filtration
@@ -174,20 +174,24 @@ def cmd_connectivity(args) -> int:
 
 def cmd_tangent(args) -> int:
     cp = _curve(args)
+    if args.beta is not None and (args.points or args.vector_bundle):
+        raise DomainError("--beta is ignored next to --points or --vector-bundle")
+    if args.h0 is not None and not args.vector_bundle:
+        raise DomainError("--h0 is used only with --vector-bundle")
     if args.vector_bundle:
         dim = mo.tangent_dimension_vector_bundle(cp, args.h0)
         _emit({"tangent_dim": dim, "kind": "vector_bundle"})
         return OK
     if args.points:
-        pts = tuple(
-            mo.PointIndices(tuple(d["b"]),
-                            monomial=bool(d.get("monomial", False)),
+        pts = json.loads(args.points)
+        if not (isinstance(pts, list) and all(isinstance(d, dict) and isinstance(d.get("b"), list) for d in pts)):
+            raise DomainError(f"--points must be a JSON list of objects with a list \"b\", got {args.points!r}")
+        cfg = mo.LocalConfig(cp.n, tuple(
+            mo.PointIndices(tuple(d["b"]), monomial=bool(d.get("monomial", False)),
                             dual_monomial=bool(d.get("dual_monomial", False)))
-            for d in json.loads(args.points)
-        )
-        cfg = mo.LocalConfig(cp.n, pts)
+            for d in pts))
     else:
-        cfg = mo.generic_config(cp.n, _parse_beta(args.beta))
+        cfg = mo.generic_config(cp.n, _parse_beta(args.beta or ""))
     _emit({"tangent_dim": mo.tangent_dimension(cp, cfg),
            "beta": list(cfg.global_indices())})
     return OK
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("tangent", help="tangent-space dimension at a moduli point")
     _add_curve_args(s, degree_required=False)
-    s.add_argument("--beta", default="", help="component label (generic configuration)")
+    s.add_argument("--beta", help="component label (generic configuration)")
     s.add_argument("--points", help="JSON list of per-point configurations")
     s.add_argument("--vector-bundle", action="store_true")
     s.add_argument("--h0", type=int, default=None,

@@ -35,7 +35,10 @@ class CurveParams:
 
 
 def validate_indices(beta, n: int) -> tuple[int, ...]:
-    beta = tuple(int(b) for b in beta)
+    given = tuple(beta)
+    beta = tuple(map(int, given))
+    if beta != given:
+        raise DomainError(f"indices must be integers: {given}")
     if len(beta) != n - 1:
         raise DomainError(f"index vector must have length n-1 = {n - 1}, got {len(beta)}")
     if any(b < 0 for b in beta):

@@ -1,8 +1,9 @@
 """Exact linear algebra over a prime field F_p, backed by int64 numpy arrays.
 
 Everything here derives from one Gauss-Jordan routine, `_rref`: `Subspace`
-keeps its basis in the reduced row echelon form that `_rref` returns, and
-`nullspace` and `rank` read their answers off it.
+keeps its basis in the reduced row echelon form that `_rref` returns (or
+that `from_rref` is handed), and `nullspace` and `rank` read their answers
+off it.
 
 Exactness: all matrices hold residues in [0, p), and p < 2^16 (RingParams
 enforces it).  The largest intermediate value is an accumulated product of
@@ -182,6 +183,21 @@ def span(mat, p: int, width: int | None = None) -> Subspace:
     mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     sub = Subspace(p, mat.shape[1] if width is None else width)
     sub.insert(mat)
+    return sub
+
+
+def from_rref(rows: np.ndarray, p: int) -> Subspace:
+    """The Subspace with basis `rows`, taken as they are, with no elimination.
+
+    The rows must already be in reduced row echelon form.  They are when
+    they are a subset of the rows of an RREF basis, since each keeps its unit
+    pivot and its zeros at the other rows' pivots, and still are when every
+    column of such a subset moves right by one offset, as long as no pivot
+    moves past the last column.
+    """
+    sub = Subspace(p, rows.shape[1])
+    sub._rows = _frozen(rows)
+    sub._pivots = _frozen((rows != 0).argmax(axis=1))
     return sub
 
 

@@ -1,15 +1,16 @@
 """Finitely generated A-modules as explicit F_p-subspaces of A^r.
 
-A module (or subquotient) is stored as a pair of echelonized subspaces
-num >= den of the ambient flat space F_p^(r*n*N), each closed under the
-x- and y-shift actions.  Every quantity computed here is a length, i.e. a
+A module is a plain submodule of A^r, stored as the echelonized subspace
+`num` of the flat space F_p^(n*r*N) that it spans, closed under the x- and
+y-shift actions.  Every quantity computed here is a length, i.e. a
 difference of subspace dimensions.
 
 Length-valued outputs (graded ranks/torsions, indices, dual indices) are
 certified by recomputing at precision N+2 and demanding agreement; the
 x-truncation is an artifact and this is the stabilization check for it.
 
-Coordinate layout: component c, y-level i, x-degree a  ->  (c*n + i)*N + a.
+Coordinate layout: y-level i, component c, x-degree a  ->  (i*r + c)*N + a,
+so the y-levels are consecutive blocks of r*N columns.
 
 Every product of a ring element with flat rows goes through one kernel:
 `_shift` multiplies rows by a monomial x^a y^i, and `_mul_rows` multiplies
@@ -29,11 +30,17 @@ the argument).  The RREF of a space is unique, so the result does not
 depend on how the space was reached.
 
 That RREF is already the module's F_p[[x]]-lattice (Hermite, Howell) basis:
-in an x-closed space the pivots of each (component, y-level) block run from
+in an x-closed space the pivots of each (y-level, component) block run from
 some v_b to the block's end, so the rows at each block's first pivot
 (`_lattice_rows`, at most n*r) and their x-multiples form a basis.  Lifts,
 x-division and colons over a module with no remembered generators start
 from these rows, never from the whole basis.
+
+Both filtrations are slices of the RREF, read off with no elimination
+(`_filtration`).  ann_M(y^k), the part of M in y^(n-k) A^r, is spanned by
+the rows whose pivot lies at level n - k or later, and y^k M by the
+y^k-shifts of the other rows, which are still in RREF.  The pure quotient
+M / M^(n-i) is realized as its isomorphic image y^(n-i) M.
 
 Both Hom computations are transporters ("colons") built by `_colon`: the
 dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
@@ -73,31 +80,26 @@ def _as_vector(v, rank: int):
 
 def flatten(vec, params: RingParams, rank: int) -> np.ndarray:
     vec = _as_vector(vec, rank)
-    out = np.zeros(rank * params.n * params.N, dtype=np.int64)
+    out = np.zeros((params.n, rank, params.N), dtype=np.int64)
     for c, elem in enumerate(vec):
         if elem.params != params:
             raise ParameterMismatch("generator component has mismatched ring parameters")
-        block = np.array(elem.coeffs, dtype=np.int64).ravel()
-        out[c * params.n * params.N : (c + 1) * params.n * params.N] = block
-    return out
+        out[:, c] = elem.coeffs
+    return out.ravel()
 
 
 def unflatten(row: np.ndarray, params: RingParams, rank: int) -> tuple[RingElem, ...]:
-    n, N = params.n, params.N
-    out = []
-    for c in range(rank):
-        block = row[c * n * N : (c + 1) * n * N].reshape(n, N)
-        out.append(RingElem(params, [list(r) for r in block]))
-    return tuple(out)
+    grid = row.reshape(params.n, rank, params.N)
+    return tuple(RingElem(params, grid[:, c].tolist()) for c in range(rank))
 
 
 def _shift(rows: np.ndarray, params: RingParams, rank: int, dx: int, dy: int) -> np.ndarray:
     """Every row times x^dx * y^dy (zero once dx >= N or dy >= n)."""
     n, N = params.n, params.N
-    arr = rows.reshape(-1, rank, n, N)
+    arr = rows.reshape(-1, n, rank, N)
     out = np.zeros_like(arr)
     if dx < N and dy < n:
-        out[..., dy:, dx:] = arr[..., : n - dy, : N - dx]
+        out[:, dy:, :, dx:] = arr[:, : n - dy, :, : N - dx]
     return out.reshape(rows.shape)
 
 
@@ -148,7 +150,7 @@ def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subsp
 
 
 def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
-    """The RREF rows at the first pivot of each (component, y-level) block
+    """The RREF rows at the first pivot of each (y-level, component) block
     of an x-closed space: at most n*r rows, read off with no elimination.
     x moves a leading column one step along its block, so a block's pivots
     run from some v_b to its end, and the x-multiples of these rows have dim
@@ -158,28 +160,25 @@ def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
 
 
 def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
-    arr = rows.reshape(-1, rank, params.n, params.N)
-    out = np.zeros((arr.shape[0], rank, params.n, big.N), dtype=np.int64)
+    arr = rows.reshape(-1, params.n, rank, params.N)
+    out = np.zeros(arr.shape[:3] + (big.N,), dtype=np.int64)
     out[..., : params.N] = arr
-    return out.reshape(arr.shape[0], rank * params.n * big.N)
+    return out.reshape(arr.shape[0], params.n * rank * big.N)
 
 
 # -- the module representation ------------------------------------------
 
 
 class ModuleRep:
-    """A submodule or subquotient of A^r presented by echelon bases."""
+    """A submodule of A^r presented by the echelon basis of its span."""
 
-    __slots__ = ("params", "ambient_rank", "num", "den", "gens")
+    __slots__ = ("params", "ambient_rank", "num", "gens")
 
-    def __init__(self, params, ambient_rank, num, den=None, gens=None):
+    def __init__(self, params, ambient_rank, num, gens=None):
         self.params = params
         self.ambient_rank = ambient_rank
         self.num = num
-        self.den = den if den is not None else linalg.Subspace(params.p, num.width)
         self.gens = gens
-        if not self.den.leq(self.num):
-            raise ContainmentError("denominator is not contained in the numerator")
 
     # -- basic invariants ------------------------------------------
 
@@ -188,7 +187,7 @@ class ModuleRep:
         return self.ambient_rank * self.params.n * self.params.N
 
     def length(self) -> int:
-        return self.num.dim - self.den.dim
+        return self.num.dim
 
     def is_zero(self) -> bool:
         return self.length() == 0
@@ -199,31 +198,26 @@ class ModuleRep:
     def contains(self, vec) -> bool:
         return self.num.contains(flatten(vec, self.params, self.ambient_rank))
 
-    def same_space(self, other: "ModuleRep") -> bool:
-        return self.num == other.num and self.den == other.den
-
     def validate(self) -> None:
-        """Check x,y-closure of both subspaces (used by tests and parsers)."""
-        for sub in (self.num, self.den):
-            rows = sub.rows()
-            shifted = np.vstack([_shift(rows, self.params, self.ambient_rank, 1, 0),
-                                 _shift(rows, self.params, self.ambient_rank, 0, 1)])
-            if sub.reduce(shifted).any():
-                raise ContainmentError("subspace is not closed under the ring action")
+        """Check x,y-closure of the span (used by tests and parsers)."""
+        rows = self.num.rows()
+        shifted = np.vstack([_shift(rows, self.params, self.ambient_rank, 1, 0),
+                             _shift(rows, self.params, self.ambient_rank, 0, 1)])
+        if self.num.reduce(shifted).any():
+            raise ContainmentError("subspace is not closed under the ring action")
 
     def __repr__(self):
-        kind = "subquotient" if self.den.dim else "module"
-        return (f"<{kind} of A^{self.ambient_rank} over {self.params}, "
+        return (f"<module of A^{self.ambient_rank} over {self.params}, "
                 f"length {self.length()}>")
 
     def __eq__(self, other):
         if not isinstance(other, ModuleRep):
             return NotImplemented
         return (self.params == other.params and self.ambient_rank == other.ambient_rank
-                and self.same_space(other))
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.params, self.ambient_rank, self.num, self.den))
+        return hash((self.params, self.ambient_rank, self.num))
 
 
 def span_from_generators(gens, params: RingParams | None = None, ambient_rank: int | None = None) -> ModuleRep:
@@ -256,83 +250,71 @@ def full_ring(params: RingParams) -> ModuleRep:
 def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     """Reinstantiate M at a higher x-precision.
 
-    num is the closure of `_generator_rows`(M) (the remembered generators,
-    which are carried over, else the lattice rows) and den that of den's
-    lattice rows, padded with zero top x-degrees that the x-action regains.
-    In rank 1 this is the closure of the whole padded basis: in every block
-    with a pivot both gain exactly the new top degrees.  At M's own
-    precision this is M itself.
+    The lift is the closure of `_generator_rows`(M) (the remembered
+    generators, which are carried over, else the lattice rows), padded with
+    zero top x-degrees that the x-action regains.  In rank 1 this is the
+    closure of the whole padded basis: every block with a pivot gains
+    exactly the new top degrees.  At M's own precision this is M itself.
     """
     if N_new == M.params.N:
         return M
     par, rank = M.params, M.ambient_rank
     big = par.with_precision(N_new)
-    num, den = (_close_rows(_pad_rows(rows, par, rank, big), big, rank)
-                for rows in (_generator_rows(M), _lattice_rows(M.den, par)))
+    num = _close_rows(_pad_rows(_generator_rows(M), par, rank, big), big, rank)
     gens = None if M.gens is None else tuple(tuple(e.lift(big) for e in vec) for vec in M.gens)
-    return ModuleRep(big, rank, num, den, gens)
+    return ModuleRep(big, rank, num, gens)
 
 
 # -- filtrations --------------------------------------------------------
 
 
-def _y_image_sub(M: ModuleRep, k: int) -> linalg.Subspace:
-    """Subspace (y^k * num) + den."""
-    sub = M.den.copy()
-    sub.insert(_shift(M.num.rows(), M.params, M.ambient_rank, 0, k))
-    return sub
+def _filtration(M: ModuleRep, which: str) -> list[linalg.Subspace]:
+    """The spans of a filtration for k = 0..n, sliced off M's RREF with no
+    elimination: y^k M ('first') or ann_M(y^k) ('second').
 
-
-def _y_kernel_sub(M: ModuleRep, k: int) -> linalg.Subspace:
-    """Subspace {m in num : y^k m in den}  (contains den)."""
-    if k <= 0:
-        return M.den.copy()
-    if k >= M.params.n:
-        return M.num.copy()
-    rows = M.num.rows()
-    reduced = M.den.reduce(_shift(rows, M.params, M.ambient_rank, 0, k))
-    combos = linalg.nullspace(reduced.T, M.params.p)
-    sub = M.den.copy()
-    sub.insert(combos @ rows)
-    return sub
+    y^k kills exactly the part of M in y^(n-k) A^r, which the RREF rows with
+    a pivot at level n - k or later span.  The other rows map to rows whose
+    pivots move k levels on: still an RREF basis, now of y^k M.
+    """
+    par, rank = M.params, M.ambient_rank
+    n, rows = par.n, M.num.rows()
+    # cut[l]: the number of rows whose pivot lies below y-level l
+    cut = np.searchsorted(M.num.pivots, np.arange(n + 1) * rank * par.N)
+    if which == "first":
+        blocks = [_shift(rows[: cut[n - k]], par, rank, 0, k) for k in range(n + 1)]
+    elif which == "second":
+        blocks = [rows[cut[n - k]:] for k in range(n + 1)]
+    else:
+        raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
+    return [linalg.from_rref(b, par.p) for b in blocks]
 
 
 def first_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain M = M_0 >= yM >= ... >= y^(n-1)M >= M_n = 0."""
-    out = []
-    for k in range(M.params.n + 1):
-        sub = _y_image_sub(M, k) if k else M.num.copy()
-        out.append(ModuleRep(M.params, M.ambient_rank, sub, M.den.copy()))
-    return out
+    return [ModuleRep(M.params, M.ambient_rank, sub) for sub in _filtration(M, "first")]
 
 
 def second_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain 0 = M^(0) <= M^(1) <= ... <= M^(n) = M, M^(i) = ann_M(y^i)."""
-    out = []
-    for k in range(M.params.n + 1):
-        sub = _y_kernel_sub(M, k)
-        out.append(ModuleRep(M.params, M.ambient_rank, sub, M.den.copy()))
-    return out
+    return [ModuleRep(M.params, M.ambient_rank, sub) for sub in _filtration(M, "second")]
 
 
 def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
-    """Length of M/Msub; Msub must be contained in M (same denominator)."""
+    """Length of M/Msub; Msub must be contained in M."""
     if M.params != Msub.params or M.ambient_rank != Msub.ambient_rank:
         raise ParameterMismatch("quotient operands live in different ambients")
-    if not (Msub.den == M.den and Msub.num.leq(M.num)):
+    if not Msub.num.leq(M.num):
         raise ContainmentError("second module is not a submodule of the first")
     return M.num.dim - Msub.num.dim
 
 
 def divide_by_x_power(M: ModuleRep, s: int) -> ModuleRep:
-    """x^(-s) * M for a plain module all of whose elements x^s divides."""
+    """x^(-s) * M for a module all of whose elements x^s divides."""
     if s == 0:
         return M
-    if M.den.dim:
-        raise DomainError("x-power division is defined for plain modules only")
     params, rank = M.params, M.ambient_rank
     # every element is an F_p-combination of x-multiples of the lattice rows
-    rows = _lattice_rows(M.num, params).reshape(-1, rank, params.n, params.N)
+    rows = _lattice_rows(M.num, params).reshape(-1, params.n, rank, params.N)
     if rows[..., :s].any():
         raise DomainError(f"module is not divisible by x^{s}")
     out = np.zeros_like(rows)
@@ -341,12 +323,16 @@ def divide_by_x_power(M: ModuleRep, s: int) -> ModuleRep:
 
 
 def pure_quotient(M: ModuleRep, i: int) -> ModuleRep:
-    """M / M^(n-i): the unique torsion-free quotient living in depth i."""
-    n = M.params.n
+    """M / M^(n-i), the unique torsion-free quotient living in depth i, as
+    y^(n-i) M: multiplying by y^(n-i) has kernel ann_M(y^(n-i)) = M^(n-i)."""
+    par, n = M.params, M.params.n
     if not 1 <= i <= n:
         raise DomainError(f"pure quotient depth must be in [1, {n}], got {i}")
-    den = _y_kernel_sub(M, n - i)
-    return ModuleRep(M.params, M.ambient_rank, M.num.copy(), den)
+    gens = None
+    if M.gens is not None:
+        y = RingElem.monomial(par, 1, 0, n - i)
+        gens = tuple(tuple(y * e for e in vec) for vec in M.gens)
+    return ModuleRep(par, M.ambient_rank, _filtration(M, "first")[n - i], gens)
 
 
 # -- graded pieces, ranks, torsion --------------------------------------
@@ -369,8 +355,6 @@ class GradedReport:
 
 def _piece_x_len(num: linalg.Subspace, den: linalg.Subspace, params, rank, k: int) -> int:
     """Length of x^k * (num/den)."""
-    if k == 0:
-        return num.dim - den.dim
     sub = den.copy()
     sub.insert(_shift(num.rows(), params, rank, k, 0))
     return sub.dim - den.dim
@@ -391,15 +375,9 @@ def _rank_torsion(num: linalg.Subspace, den: linalg.Subspace, params, rank) -> t
 
 
 def _graded_single(M: ModuleRep, which: str) -> GradedReport:
-    n = M.params.n
-    if which == "first":
-        chain = [_y_image_sub(M, k) if k else M.num.copy() for k in range(n + 1)]
-        pairs = [(chain[i], chain[i + 1]) for i in range(n)]
-    elif which == "second":
-        chain = [_y_kernel_sub(M, k) for k in range(n + 1)]
-        pairs = [(chain[i + 1], chain[i]) for i in range(n)]
-    else:
-        raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
+    chain = _filtration(M, which)
+    # the pieces are y^i M / y^(i+1) M, or M^(i+1) / M^(i) of the increasing chain
+    pairs = zip(chain, chain[1:]) if which == "first" else zip(chain[1:], chain)
     return GradedReport(tuple(_rank_torsion(num, den, M.params, M.ambient_rank) for num, den in pairs))
 
 
@@ -447,14 +425,15 @@ def indices(M: ModuleRep) -> tuple[int, ...]:
 
 
 def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
+    # With M-bar = M / M^(m-i-1), taken on preimages in M: (M-bar)^(1) is
+    # M^(m-i), and y^i M-bar is y^i M + M^(m-i-1).
     m = _support_depth(_graded_single(M, "first"))
+    images, kernels = _filtration(M, "first"), _filtration(M, "second")
     out = []
     for i in range(1, m):
-        ker = _y_kernel_sub(M, m - i - 1)  # M^(m-i-1), the denominator of the pure quotient
-        Q = ModuleRep(M.params, M.ambient_rank, M.num.copy(), ker)
-        s1 = _y_kernel_sub(Q, 1)
-        s2 = _y_image_sub(Q, i)
-        beta = s1.dim - s2.dim
+        s2 = kernels[m - i - 1].copy()
+        s2.insert(images[i].rows())
+        beta = kernels[m - i].dim - s2.dim
         if beta < 0:
             raise PrecisionError("definitional index extraction unstable; raise N")
         out.append(beta)
@@ -495,9 +474,9 @@ def _min_valuation_element(M: ModuleRep) -> tuple[np.ndarray, int]:
 # -- dual oracle ---------------------------------------------------------
 
 
-def _require_plain_rank1(M: ModuleRep, what: str) -> None:
-    if M.ambient_rank != 1 or M.den.dim:
-        raise DomainError(f"{what} is defined for plain submodules of A only")
+def _require_rank1(M: ModuleRep, what: str) -> None:
+    if M.ambient_rank != 1:
+        raise DomainError(f"{what} is defined for submodules of A only")
 
 
 def _require_full_invertible(M: ModuleRep) -> None:
@@ -542,7 +521,7 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     Certified: the realization is computed independently at N and N+2 and
     the two index vectors must agree.
     """
-    _require_plain_rank1(M, "dual_module_oracle")
+    _require_rank1(M, "dual_module_oracle")
     _require_full_invertible(M)
     return _certified(
         M.params.N,
@@ -637,8 +616,8 @@ def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep, budget: int = 2**16,
     """
     if M.params != Mp.params:
         raise ParameterMismatch("isomorphism oracle needs identical ring parameters")
-    _require_plain_rank1(M, "is_isomorphic_oracle")
-    _require_plain_rank1(Mp, "is_isomorphic_oracle")
+    _require_rank1(M, "is_isomorphic_oracle")
+    _require_rank1(Mp, "is_isomorphic_oracle")
     _require_full_invertible(M)
     _require_full_invertible(Mp)
     return _certified(M.params.N, lambda N: _iso_single(M, Mp, N, budget, samples, seed))
@@ -661,22 +640,25 @@ def parse_module_text(text: str) -> ModuleRep:
     generator per line in the ring text syntax (components comma-separated
     when rank > 1).  Blank lines and '#' comments are skipped.  A term whose
     coefficient is not a residue (|c| >= p) or whose x-degree reaches N raises
-    DomainError instead of being reduced or cut."""
+    DomainError instead of being reduced or cut, and so does a header key
+    that is unknown or repeated, or a rank below 1."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("ring"):
         raise DomainError("module spec must start with a 'ring n=.. N=.. p=.. rank=..' header")
     header = dict()
     for tok in lines[0].split()[1:]:
-        if "=" not in tok:
-            raise DomainError(f"bad header token {tok!r}")
-        key, val = tok.split("=", 1)
+        key, eq, val = tok.partition("=")
+        if not eq or key not in ("n", "N", "p", "rank") or key in header:
+            raise DomainError(f"bad header token {tok!r}: keys are n, N, p and rank, once each")
         header[key] = int(val)
     try:
         params = RingParams(header["n"], header["N"], header["p"])
-        rank = header.get("rank", 1)
     except KeyError as exc:
         raise DomainError(f"module spec header is missing {exc}") from exc
+    rank = header.get("rank", 1)
+    if rank < 1:
+        raise DomainError(f"module spec rank must be at least 1, got {rank}")
     gens = []
     for ln in lines[1:]:
         parts = ln.split(",")

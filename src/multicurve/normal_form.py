@@ -285,7 +285,7 @@ def _presentation_lead(M: ModuleRep, b: int, fixed, cut: int) -> RingElem:
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     """Unique (b, j, z) of a single-jump module, via the geometric-series
     elimination of x^b-divisible correction terms."""
-    if M.ambient_rank != 1 or M.den.dim:
+    if M.ambient_rank != 1:
         raise ShapeError("normalize_special expects a plain submodule of A")
     params = M.params
     n = params.n

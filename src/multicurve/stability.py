@@ -125,15 +125,6 @@ def dual_stability_check(cp: CurveParams, beta) -> bool:
     return mine.semistable
 
 
-def factor_of_subfiltration(beta, lo: int, hi: int) -> tuple[int, ...]:
-    """Index vector of F^(n-lo)/F^(n-hi) for 0 <= lo < hi <= n (JH factor shape)."""
-    n = len(beta) + 1
-    b = (0,) + validate_indices(beta, n)
-    if not 0 <= lo < hi <= n:
-        raise DomainError("need 0 <= lo < hi <= n")
-    return tuple(b[lo + j] - b[lo] for j in range(1, hi - lo))
-
-
 __all__ = [
     "StabilityVerdict",
     "JHFactor",
@@ -143,6 +134,5 @@ __all__ = [
     "check_stability",
     "jh_filtration",
     "dual_stability_check",
-    "factor_of_subfiltration",
     "sub_indices",
 ]

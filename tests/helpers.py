@@ -63,7 +63,7 @@ def rref_rows(rows, p):
 
 def naive_closure(rows, params: RingParams, rank: int):
     """RREF rows of the span of every monomial multiple x^a y^i of the flat
-    rows (layout (c*n + i)*N + a), built coordinate by coordinate."""
+    rows (layout (i*r + c)*N + a), built coordinate by coordinate."""
     n, N = params.n, params.N
     multiples = []
     for row in rows:
@@ -73,7 +73,7 @@ def naive_closure(rows, params: RingParams, rank: int):
                 for c in range(rank):
                     for lev in range(n - i):
                         for x in range(N - a):
-                            out[(c * n + lev + i) * N + x + a] = int(row[(c * n + lev) * N + x])
+                            out[((lev + i) * rank + c) * N + x + a] = int(row[(lev * rank + c) * N + x])
                 multiples.append(out)
     return rref_rows(multiples, params.p)
 

@@ -46,6 +46,14 @@ class TestIndicesCommand:
         path.write_text("ring n=3 N=12\nx\n")
         assert main(["indices", str(path)]) == 1
 
+    @pytest.mark.parametrize("header", [
+        "ring n=3 N=18 p=2 rank=1 prec=40", "ring n=3 N=18 N=30 p=2 rank=1", "ring n=3 N=18 p=2 rank=0"])
+    def test_ignored_header_input_is_invalid_input(self, tmp_path, capsys, header):
+        path = tmp_path / "header.txt"
+        path.write_text(header + "\nx^2\nx*y\ny^2\n")
+        assert main(["indices", str(path)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_precision_override(self, capsys, module_file, monkeypatch):
         monkeypatch.setenv("PMC_PRECISION", "22")
         code, payload = run_json(capsys, ["indices", module_file])
@@ -124,6 +132,21 @@ class TestArithmeticCommands:
             "tangent", "--n", "3", "--delta", "5", "--g1", "2", "--vector-bundle"])
         assert code == 0
         assert payload["tangent_dim"] == 46
+
+    @pytest.mark.parametrize("points", ['[{"x": 1}]', "[1]", '{"b": [1, 2]}', '[{"b": 1}]', '[{"b": [1.5, 2]}]'])
+    def test_tangent_malformed_points_are_invalid_input(self, capsys, points):
+        assert main(["tangent", "--n", "3", "--delta", "1", "--g1", "2", "--points", points]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--points", '[{"b": [1, 2]}]', "--beta", "0,1"],
+        ["--vector-bundle", "--beta", "0,1"],
+        ["--beta", "0,1", "--h0", "3"],
+        ["--points", '[{"b": [1, 2]}]', "--h0", "3"],
+    ])
+    def test_tangent_ignored_overrides_are_invalid_input(self, capsys, extra):
+        assert main(["tangent", "--n", "3", "--delta", "5", "--g1", "2", *extra]) == 1
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestComponentsCommand:

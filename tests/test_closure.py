@@ -1,7 +1,8 @@
 """Parity of the x,y-closure `modules._close_rows` with the independent
 closure of tests/helpers.py (the span of every monomial multiple, reduced by
-a pure-Python elimination), and of the lattice rows `modules._lattice_rows`
-that regenerate a closed space.
+a pure-Python elimination), of the lattice rows `modules._lattice_rows`
+that regenerate a closed space, and of the two filtrations of a closed
+space with their definitions.
 
 The RREF of a space is unique, so the closure must match it row for row.
 p = 65521 is the largest prime RingParams admits.
@@ -11,10 +12,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from multicurve import linalg
-from multicurve.modules import _close_rows, _lattice_rows, _pad_rows, _shift
-from multicurve.ring import RingParams
+from multicurve.modules import (
+    ModuleRep, _close_rows, _lattice_rows, _pad_rows, _shift, first_filtration, flatten,
+    second_filtration,
+)
+from multicurve.ring import RingElem, RingParams
 
-from helpers import naive_closure
+from helpers import naive_closure, rref_rows
 
 PRIMES = [2, 3, 65521]
 
@@ -96,7 +100,7 @@ def test_lattice_rows_regenerate_a_closed_space(block):
     params, rank, rows = block
     sub = _close_rows(rows, params, rank)
     lattice = _lattice_rows(sub, params)
-    # one row per (component, y-level) block that holds a pivot, at its first pivot
+    # one row per (y-level, component) block that holds a pivot, at its first pivot
     blocks_hit = sorted({piv // params.N for piv in sub.pivots})
     assert len(lattice) == len(blocks_hit) <= params.n * rank
     firsts = [min(piv for piv in sub.pivots if piv // params.N == b) for b in blocks_hit]
@@ -107,3 +111,22 @@ def test_lattice_rows_regenerate_a_closed_space(block):
     assert _close_rows(lattice, params, rank) == sub
     expected = np.array(naive_closure(lattice, params, rank), dtype=np.int64)
     assert np.array_equal(sub.rows(), expected.reshape(-1, sub.width))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(max_rows=3))
+def test_filtrations_match_their_definitions(block):
+    params, rank, rows = block
+    M = ModuleRep(params, rank, _close_rows(rows, params, rank))
+    first, second = first_filtration(M), second_filtration(M)
+    for k in range(params.n + 1):
+        # y^k M is the span of the y^k-multiples of M's basis
+        y_k = RingElem.monomial(params, 1, 0, k)
+        multiples = rref_rows([flatten(tuple(y_k * e for e in v), params, rank).tolist()
+                               for v in M.basis_vectors()], params.p)
+        assert first[k].num.rows().tolist() == multiples
+        # ann_M(y^k) lies in M, is killed by y^k, and is the kernel of y^k on M
+        ann = second[k]
+        assert ann.num.leq(M.num)
+        assert all((y_k * e).is_zero() for v in ann.basis_vectors() for e in v)
+        assert ann.length() == M.length() - len(multiples)

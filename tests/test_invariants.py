@@ -157,6 +157,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_indices((-1, 0), 3)
 
+    def test_fractional_rejected(self):
+        # int() would cut 1.5 to 1
+        with pytest.raises(DomainError):
+            validate_indices((0, 1.5), 3)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DomainError):
             validate_indices((1,), 3)

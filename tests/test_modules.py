@@ -136,6 +136,30 @@ class TestFiltrations:
             assert ff[i].num.leq(sf[n - i].num)
 
 
+class TestRankTwo:
+    def test_graph_module(self):
+        # M = A * (1, x^4) projects injectively onto its first component, so it
+        # is free of rank 1: y^k M has length (n - k)*N, ann_M(y^k) = y^(n-k) M
+        # has length k*N, and each graded piece is F_p[x]/(x^N), of rank 1
+        par = RingParams(2, 6, 3)
+        M = span_from_generators([(RingElem.one(par), parse_elem("x^4", par))])
+        assert [m.length() for m in first_filtration(M)] == [12, 6, 0]
+        assert [m.length() for m in second_filtration(M)] == [0, 6, 12]
+        assert graded_report(M, "first").levels == ((1, 0), (1, 0))
+        assert graded_report(M, "second").levels == ((1, 0), (1, 0))
+        assert indices(M) == indices_by_definition(M) == (0,)
+
+    def test_free_module_is_not_invertible(self):
+        one, zero = RingElem.one(P3), RingElem.zero(P3)
+        free = span_from_generators([(one, zero), (zero, one)])
+        assert [m.length() for m in first_filtration(free)] == [108, 72, 36, 0]
+        assert graded_report(free, "first").levels == ((2, 0),) * 3
+        assert graded_report(free, "second").levels == ((2, 0),) * 3
+        for invariant in (indices, indices_by_definition):
+            with pytest.raises(NotInvertibleError):
+                invariant(free)
+
+
 class TestGradedReport:
     def test_monomial_ideal_torsions(self, monomial_ideal):
         rep = graded_report(monomial_ideal, "first")
@@ -371,6 +395,16 @@ class TestModuleFiles:
         with pytest.raises(DomainError):
             parse_module_text("ring n=2 N=12 p=7 rank=1\nx^12\n")
 
+    @pytest.mark.parametrize("text", [
+        "ring n=2 N=12 p=7 rank=1 prec=40\nx^2\n",  # an unknown key
+        "ring n=2 N=18 N=30 p=7 rank=1\nx^2\n",    # a repeated key
+        "ring n=2 N=12 p=7 rank=0\n",               # no ambient module
+        "ring n=2 N=12 p=7 rank=-1\n",
+    ])
+    def test_header_input_that_would_be_ignored_rejected(self, text):
+        with pytest.raises(DomainError):
+            parse_module_text(text)
+
     def test_faithful_terms_accepted(self):
         M = parse_module_text("ring n=2 N=12 p=7 rank=1\n6*x^11 - y\n-6*x^2 + y^2\n")
         par = RingParams(2, 12, 7)
@@ -394,3 +428,4 @@ def test_module_spec_round_trip(spec):
     params, rank, gens = spec
     M = parse_module_text(format_module(params, rank, gens))
     assert M.num == span_from_generators(gens, params=params, ambient_rank=rank).num
+
