@@ -4,27 +4,30 @@ Exit codes: 0 ok, 1 invalid input, 2 verification failure.  All machine
 output is JSON with a top-level "schema": 1; `components` also has a table
 format.  PMC_PRECISION overrides the x-precision N of module-spec files
 (the N/N+2 stabilization check always stays on).
+
+The parser is built once per process (`build_parser` is cached) and each
+call parses into a fresh namespace.  The numpy layers (`modules`,
+`normal_form`, `ext`, `verify`) are imported per command, by the commands on
+module-spec files and `verify`; the curve-level commands never load them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import ext as ext_mod
 from . import moduli as mo
-from . import modules as md
-from . import normal_form as nf
 from .errors import DomainError, MultiCurveError, PrecisionError, VerificationError
 from .invariants import CurveParams
-from .ring import RingParams
 from .stability import check_stability, jh_filtration
-from .verify import SUITES, run_suites
 
 OK, INVALID_INPUT, VERIFICATION_FAILURE = 0, 1, 2
+SUITE_NAMES = ("ring", "indices", "duality", "stability", "ext", "moduli")  # the keys of verify.SUITES
+POINT_FLAGS = ("monomial", "dual_monomial")
 
 
 def _emit(payload: dict) -> None:
@@ -39,7 +42,8 @@ def _coerce(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def _load_module(path: str) -> md.ModuleRep:
+def _load_module(path: str):
+    from .modules import parse_module_text
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     override = os.environ.get("PMC_PRECISION")
@@ -51,7 +55,7 @@ def _load_module(path: str) -> md.ModuleRep:
                                     for tok in ln.split())
                 break
         text = "\n".join(lines)
-    return md.parse_module_text(text)
+    return parse_module_text(text)
 
 
 def _parse_beta(text: str) -> tuple[int, ...]:
@@ -66,6 +70,7 @@ def _curve(args) -> CurveParams:
 
 
 def cmd_indices(args) -> int:
+    from . import modules as md
     M = _load_module(args.file)
     beta = md.indices(M)
     by_def = md.indices_by_definition(M)
@@ -80,23 +85,23 @@ def cmd_indices(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    M = _load_module(args.file)
-    form = nf.normalize_special(M)
+    from .normal_form import normalize_special
+    form = normalize_special(_load_module(args.file))
     _emit({"n": form.n, "b": form.b, "j": form.j, "z": [list(r) for r in form.z]})
     return OK
 
 
 def cmd_isomorphic(args) -> int:
+    from .modules import is_isomorphic_oracle
     A = _load_module(args.file_a)
     B = _load_module(args.file_b)
-    verdict = md.is_isomorphic_oracle(A, B, seed=args.seed)
+    verdict = is_isomorphic_oracle(A, B, seed=args.seed)
     _emit({"verdict": verdict})
     return OK
 
 
 def cmd_stability(args) -> int:
-    cp = CurveParams(args.n, args.g1, args.delta, args.degree)
-    verdict = check_stability(cp, _parse_beta(args.beta))
+    verdict = check_stability(_curve(args), _parse_beta(args.beta))
     _emit({
         "semistable": verdict.semistable,
         "stable": verdict.stable,
@@ -106,8 +111,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_jh(args) -> int:
-    cp = CurveParams(args.n, args.g1, args.delta, args.degree)
-    fil = jh_filtration(cp, _parse_beta(args.beta))
+    fil = jh_filtration(_curve(args), _parse_beta(args.beta))
     _emit({
         "positions": list(fil.positions),
         "steps": list(fil.steps),
@@ -184,12 +188,12 @@ def cmd_tangent(args) -> int:
         return OK
     if args.points:
         pts = json.loads(args.points)
-        if not (isinstance(pts, list) and all(isinstance(d, dict) and isinstance(d.get("b"), list) for d in pts)):
-            raise DomainError(f"--points must be a JSON list of objects with a list \"b\", got {args.points!r}")
-        cfg = mo.LocalConfig(cp.n, tuple(
-            mo.PointIndices(tuple(d["b"]), monomial=bool(d.get("monomial", False)),
-                            dual_monomial=bool(d.get("dual_monomial", False)))
-            for d in pts))
+        if not (isinstance(pts, list) and all(
+                isinstance(d, dict) and isinstance(d.get("b"), list) and set(d) <= {"b", *POINT_FLAGS}
+                and all(isinstance(d.get(f, False), bool) for f in POINT_FLAGS) for d in pts)):
+            raise DomainError("--points must be a JSON list of objects with a list \"b\" and optional "
+                              f"booleans \"monomial\" and \"dual_monomial\", got {args.points!r}")
+        cfg = mo.LocalConfig(cp.n, tuple(mo.PointIndices(tuple(d.pop("b")), **d) for d in pts))
     else:
         cfg = mo.generic_config(cp.n, _parse_beta(args.beta or ""))
     _emit({"tangent_dim": mo.tangent_dimension(cp, cfg),
@@ -198,9 +202,11 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    from . import ext as ext_mod
+    from .modules import indices
     M = _load_module(args.file)
     length = ext_mod.local_ext1_length(M)
-    beta = md.indices(M)
+    beta = indices(M)
     _emit({
         "local_ext1_length": length,
         "closed_form": ext_mod.closed_form_ext1(M.params.n, beta),
@@ -210,6 +216,9 @@ def cmd_ext(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+    if args.suite != "all" and args.suite not in SUITES:
+        raise DomainError(f"unknown suite {args.suite!r}: expected all or one of {', '.join(SUITES)}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     bad = 0
     for name, checks, failures in run_suites(names, seed=args.seed):
@@ -231,7 +240,9 @@ def _add_curve_args(sub, degree_required=True):
                      help="generalized degree D")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(
         prog="multicurve",
         description="Generalized line bundles on primitive multiple curves: "
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_ext)
 
     s = sub.add_parser("verify", help="run a property suite")
-    s.add_argument("suite", choices=["all", *SUITES])
+    s.add_argument("suite", metavar="{" + ",".join(("all", *SUITE_NAMES)) + "}")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_verify)
 

@@ -37,7 +37,7 @@ class CurveParams:
 def validate_indices(beta, n: int) -> tuple[int, ...]:
     given = tuple(beta)
     beta = tuple(map(int, given))
-    if beta != given:
+    if beta != given or any(isinstance(b, bool) for b in given):
         raise DomainError(f"indices must be integers: {given}")
     if len(beta) != n - 1:
         raise DomainError(f"index vector must have length n-1 = {n - 1}, got {len(beta)}")

@@ -640,11 +640,12 @@ def parse_module_text(text: str) -> ModuleRep:
     generator per line in the ring text syntax (components comma-separated
     when rank > 1).  Blank lines and '#' comments are skipped.  A term whose
     coefficient is not a residue (|c| >= p) or whose x-degree reaches N raises
-    DomainError instead of being reduced or cut, and so does a header key
-    that is unknown or repeated, or a rank below 1."""
+    DomainError instead of being reduced or cut, and so does a header whose
+    first token is not `ring`, a header key that is unknown or repeated, or a
+    rank below 1."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("ring"):
+    if not lines or lines[0].split()[0] != "ring":
         raise DomainError("module spec must start with a 'ring n=.. N=.. p=.. rank=..' header")
     header = dict()
     for tok in lines[0].split()[1:]:

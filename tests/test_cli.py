@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from multicurve.cli import main
+import multicurve
+from multicurve import verify
+from multicurve.cli import SUITE_NAMES, build_parser, main
 
 
 @pytest.fixture()
@@ -45,6 +50,12 @@ class TestIndicesCommand:
         path = tmp_path / "bad.txt"
         path.write_text("ring n=3 N=12\nx\n")
         assert main(["indices", str(path)]) == 1
+
+    def test_misspelt_header_keyword_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "ringo.txt"
+        path.write_text("ringo n=2 N=6 p=3 rank=1\nx\n")
+        assert main(["indices", str(path)]) == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("header", [
         "ring n=3 N=18 p=2 rank=1 prec=40", "ring n=3 N=18 N=30 p=2 rank=1", "ring n=3 N=18 p=2 rank=0"])
@@ -133,7 +144,12 @@ class TestArithmeticCommands:
         assert code == 0
         assert payload["tangent_dim"] == 46
 
-    @pytest.mark.parametrize("points", ['[{"x": 1}]', "[1]", '{"b": [1, 2]}', '[{"b": 1}]', '[{"b": [1.5, 2]}]'])
+    @pytest.mark.parametrize("points", ['[{"x": 1}]', "[1]", '{"b": [1, 2]}', '[{"b": 1}]', '[{"b": [1.5, 2]}]',
+    '[{"b": [true, 2]}]',                        # a boolean is not the index 1
+    '[{"b": [1, 2], "monomal": true}]',          # an unknown key
+    '[{"b": [1, 2], "monomial": "false"}]',      # a flag that is not a boolean
+    '[{"b": [1, 2], "dual_monomial": 1}]',
+])
     def test_tangent_malformed_points_are_invalid_input(self, capsys, points):
         assert main(["tangent", "--n", "3", "--delta", "1", "--g1", "2", "--points", points]) == 1
         assert "invalid input" in capsys.readouterr().err
@@ -199,6 +215,68 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_invalid_input(self, capsys):
         assert main(["verify", "nonsense"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown suite 'nonsense'" in captured.err
+
+    def test_help_names_every_suite(self, capsys):
+        assert SUITE_NAMES == tuple(verify.SUITES)
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in verify.SUITES)
 
     def test_help_exits_ok(self, capsys):
         assert main(["--help"]) == 0
+
+
+CURVE = ["--n", "3", "--delta", "1", "--g1", "2", "--degree", "1"]
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+        a = build_parser().parse_args(["stability", *CURVE, "--beta", "0,1"])
+        b = build_parser().parse_args(["stability", *CURVE, "--beta", "0,1"])
+        assert a is not b and vars(a) == vars(b)
+
+    def test_dot_file_is_not_rewritten_by_a_later_call(self, capsys, tmp_path):
+        dot = tmp_path / "graph.gv"
+        assert main(["components", *CURVE, "--dot", str(dot)]) == 0
+        assert dot.read_text().startswith("graph components {")
+        dot.write_text("untouched")
+        for argv in (["components", *CURVE], ["connectivity", *CURVE]):
+            assert main(argv) == 0
+        assert dot.read_text() == "untouched"
+        capsys.readouterr()
+
+    def test_tangent_options_do_not_carry_over(self, capsys):
+        curve = ["--n", "3", "--delta", "5", "--g1", "2"]
+        for _ in range(2):
+            code, payload = run_json(capsys, ["tangent", *curve, "--beta", "0,1"])
+            assert code == 0 and "kind" not in payload
+            code, payload = run_json(capsys, ["tangent", *curve, "--vector-bundle"])
+            assert code == 0 and payload == {"schema": 1, "tangent_dim": 46, "kind": "vector_bundle"}
+            # an --h0 left over from this call would be refused next to --beta in the next
+            assert main(["tangent", *curve, "--vector-bundle", "--h0", "3"]) == 0
+            capsys.readouterr()
+            assert main(["tangent", *curve, "--beta", "0,1"]) == 0
+            assert json.loads(capsys.readouterr().out)["beta"] == [0, 1]
+
+    def test_curve_commands_do_not_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(multicurve.__file__)))
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import multicurve.cli",
+            "assert 'numpy' not in sys.modules, 'import'",
+            "curve = " + repr(CURVE),
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    for argv in (['stability', *curve, '--beta', '0,1'],",
+            "                 ['jh', '--n', '2', '--delta', '2', '--degree', '4', '--beta', '2'],",
+            "                 ['components', *curve, '--format', 'table'], ['connectivity', *curve],",
+            "                 ['tangent', *curve, '--points', '[{\"b\": [1, 2], \"monomial\": true}]']):",
+            "        assert multicurve.cli.main(argv) == 0, argv",
+            "        assert 'numpy' not in sys.modules, argv",
+        ])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -162,6 +162,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_indices((0, 1.5), 3)
 
+    def test_booleans_rejected(self):
+        # True == 1, so a JSON true would pass as the index 1
+        with pytest.raises(DomainError):
+            validate_indices((True, 2), 3)
+        with pytest.raises(DomainError):
+            validate_indices((0, False), 3)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DomainError):
             validate_indices((1,), 3)

@@ -373,6 +373,11 @@ class TestModuleFiles:
         with pytest.raises(DomainError):
             parse_module_text("x^2\ny\n")
 
+    @pytest.mark.parametrize("header", ["ringo n=2 N=6 p=3 rank=1", "rings n=2 N=6 p=3 rank=1"])
+    def test_header_keyword_is_exactly_ring(self, header):
+        with pytest.raises(DomainError):
+            parse_module_text(header + "\nx\n")
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(DomainError):
             parse_module_text("ring n=2 N=8 p=2 rank=2\nx^2\n")
