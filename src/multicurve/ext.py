@@ -37,6 +37,7 @@ from .modules import (
     _certified,
     _indices_single,
     _mul_rows,
+    _require_rank1,
     flatten,
     lift_module,
 )
@@ -84,7 +85,7 @@ def _n3_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
     b1, b2 = beta
     params = I.params
     fixed = [RingElem.monomial(params, 1, b2 - b1, 1), RingElem.monomial(params, 1, 0, 2)]
-    lead = _presentation_lead(I, b2, fixed, 2)
+    lead = _presentation_lead(I, b2, fixed)
     # alpha is only relevant modulo x^(b2-b1) (presentation ambiguity) and
     # modulo x^b1 (an isomorphism of stalks); reduce before resolving.
     cut = min(b1, b2 - b1)
@@ -97,6 +98,7 @@ def _n3_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
 def build_resolution(I: ModuleRep, beta=None) -> ResolutionData:
     """Periodic free resolution of a single-jump stalk (any n) or any
     multiplicity-3 stalk; the complex identities are checked exactly."""
+    _require_rank1(I, "local_ext1_length")
     params = I.params
     n = params.n
     if beta is None:
@@ -111,8 +113,8 @@ def build_resolution(I: ModuleRep, beta=None) -> ResolutionData:
     if single_jump:
         j, b = jump_position(beta)
         yj = RingElem.monomial(params, 1, 0, j)
-        lead = _presentation_lead(I, b, [yj], j)  # I = (x^b + alpha*y, y^j)
-        ynj = RingElem.monomial(params, 1, 0, n - j) if n - j < n else zero
+        lead = _presentation_lead(I, b, [yj])  # I = (x^b + alpha*y, y^j)
+        ynj = RingElem.monomial(params, 1, 0, n - j)
         M1 = ((ynj, -lead), (zero, yj))
         M2 = ((yj, lead), (zero, ynj))
         return ResolutionData((yj, lead), M1, M2)

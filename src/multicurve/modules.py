@@ -44,8 +44,12 @@ M / M^(n-i) is realized as its isomorphic image y^(n-i) M.
 
 Both Hom computations are transporters ("colons") built by `_colon`: the
 dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
-(uM' : M).  Every elimination, the oracle's rank test on each
-candidate map included, goes through `linalg`.
+(uM' : M).  Truncation at x^N makes a colon exact once x^N R lies in the
+target, R the untruncated ring: sR has colength n*v for s = x^v + y*h,
+so the dual is computed at precision max(N, n*v) (`_dual_rows_at`), and
+the oracle's uM' has colength at most n*(v + v') (`_iso_single`).  Every
+elimination, the oracle's rank test on each candidate map included, goes
+through `linalg`.
 """
 
 from __future__ import annotations
@@ -499,20 +503,27 @@ def _colon(target: linalg.Subspace, M: ModuleRep) -> np.ndarray:
 
 
 def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
-    """Dual of M realized inside A at precision N_target.
+    """Dual of M realized inside A at precision N_target, exactly.
 
-    Hom(M, A) = (sA : M) via evaluation at a nonzerodivisor s of minimal
-    valuation.  Computed at precision 2*N_target and truncated back: the
-    transporter junk created by x-truncation lives in the top half and the
-    truncation kills it.
+    Hom(M, A) = (sA : M) via evaluation at s, the first RREF row of M: a
+    nonzerodivisor x^v + y*h of minimal valuation v (`_presentation_lead`
+    in `normal_form` has the argument).  In R = F_p[[x]][y]/(y^n), free over
+    F_p[[x]] with basis 1, y, ..., y^(n-1), multiplication by s is
+    triangular with determinant x^(n*v), so R/sR has length n*v and
+    x^(n*v) R <= sR.  At any precision W >= n*v, t*g therefore lies in
+    sR + x^W R exactly when it lies in sR, and the colon computed at W is
+    the image of (sR : M).  It is computed at W = max(N_target, n*v), which
+    is N_target for a normal form at N_min (v <= beta_(n-1)), and truncated
+    to N_target.
     """
-    work = M.params.with_precision(2 * N_target)
+    n = M.params.n
+    work = M.params.with_precision(max(N_target, n * _min_valuation_element(M)[1]))
     M2 = lift_module(M, work.N)
     s_row, _ = _min_valuation_element(M2)
     sol = _colon(_close_rows(s_row.reshape(1, -1), work, 1), M2)
     # truncation is a ring map, so the image of the colon ideal is an ideal
-    keep = np.concatenate([np.arange(i * work.N, i * work.N + N_target) for i in range(work.n)])
-    return linalg.span(sol[:, keep], work.p, work.n * N_target)
+    sol = sol.reshape(-1, n, work.N)[..., :N_target].reshape(len(sol), n * N_target)
+    return linalg.span(sol, work.p, n * N_target)
 
 
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:

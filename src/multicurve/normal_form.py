@@ -223,46 +223,15 @@ def special_ideal(nf: SpecialNormalForm, params: RingParams) -> ModuleRep:
 # -- normalizer ----------------------------------------------------------
 
 
-def _poly_inverse(coeffs: tuple[int, ...], N: int, p: int) -> list[int]:
-    # power series inverse of a unit polynomial mod x^N
-    u0 = coeffs[0] % p
-    if u0 == 0:
-        raise DomainError("not a unit polynomial")
-    inv0 = pow(u0, p - 2, p)
-    out = [inv0] + [0] * (N - 1)
-    for k in range(1, N):
-        acc = 0
-        for i in range(1, min(k, len(coeffs) - 1) + 1):
-            acc += coeffs[i] * out[k - i]
-        out[k] = (-inv0 * acc) % p
-    return out
-
-
-def _max_x_degree(f: RingElem) -> int:
-    deg = -1
-    for row in f.coeffs:
-        for a, c in enumerate(row):
-            if c:
-                deg = max(deg, a)
-    return deg
-
-
-def _split_x_degree(f: RingElem, b: int) -> tuple[RingElem, RingElem]:
-    """f = low + x^b * high with deg_x(low) < b on every level."""
-    low_grid, high_grid = [], []
-    for row in f.coeffs:
-        low_grid.append(list(row[:b]) + [0] * (f.params.N - b))
-        high_grid.append(list(row[b:]) + [0] * b)
-    return RingElem(f.params, low_grid), RingElem(f.params, high_grid)
-
-
-def _presentation_lead(M: ModuleRep, b: int, fixed, cut: int) -> RingElem:
+def _presentation_lead(M: ModuleRep, b: int, fixed) -> RingElem:
     """The lead e of a presentation x^(-s) M = (e, *fixed), or ShapeError.
 
     s brings the leading y-degree-0 valuation of M down to b, and e is the
-    first RREF row of x^(-s) M divided by its unit (so its y-degree-0 part is
-    exactly x^b), truncated below y^cut.  x^(-s) M must contain every fixed
-    generator and be spanned by e and them.
+    first RREF row of x^(-s) M, which is already reduced: every y^h e lies in
+    the module and leads at x-degree b of level h, so each level's pivots run
+    from x-degree b or lower to the end of its block, and the RREF clears
+    them all from e.  Hence e is x^b plus y-terms of x-degree below b.
+    x^(-s) M must contain every fixed generator and be spanned by e and them.
     """
     params = M.params
     piv = M.num.pivots
@@ -272,8 +241,6 @@ def _presentation_lead(M: ModuleRep, b: int, fixed, cut: int) -> RingElem:
         raise ShapeError(f"leading y-degree-0 valuation {piv[0]} is below the index value {b}")
     M = divide_by_x_power(M, piv[0] - b)
     e = unflatten(M.num.rows()[0], params, 1)[0]
-    u = e.level(0)[b:]  # the level-0 part is x^b * u(x) with u(0) = 1
-    e = (e * _poly_elem(_poly_inverse(u, params.N, params.p), params)).truncate_y(cut)
     missing = [format_elem(g) for g in fixed if not M.contains(g)]
     if missing:
         raise ShapeError(f"module does not contain {' and '.join(missing)}")
@@ -283,8 +250,9 @@ def _presentation_lead(M: ModuleRep, b: int, fixed, cut: int) -> RingElem:
 
 
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
-    """Unique (b, j, z) of a single-jump module, via the geometric-series
-    elimination of x^b-divisible correction terms."""
+    """Unique (b, j, z) of a single-jump module, x^(-s) M = (e, y^j): z_h is
+    the y^h-coefficient of the reduced lead e from `_presentation_lead`,
+    whose x-degree is already below b, for h = 1..jbar."""
     if M.ambient_rank != 1:
         raise ShapeError("normalize_special expects a plain submodule of A")
     params = M.params
@@ -293,34 +261,8 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     if len(beta) != n - 1:
         raise ShapeError(f"module is supported on a proper subcurve (indices {beta})")
     j, b = jump_position(beta)
-    # M = (e, y^j), and e has y-degree-0 part exactly x^b
-    e = _presentation_lead(M, b, [RingElem.monomial(params, 1, 0, j)], j)
-    alpha = (e - RingElem.monomial(params, 1, b, 0)).divide_y(1)
-    jb = jbar(n, j)
-    alpha = alpha.truncate_y(jb)
-    cap = 2 * max(1, (max(jb, 2) - 1).bit_length()) + 2
-    rounds = 0
-    while _max_x_degree(alpha) >= b:
-        if rounds >= cap:
-            raise ShapeError("normalize_special failed to converge; shape not reducible")
-        rounds += 1
-        low, high = _split_x_degree(alpha, b)
-        # M(low + x^b high) ~ M(sum_{l>=1} (-high*y)^(l-1) * low)
-        term = low
-        acc = low
-        step = (-high).shift_y(1)
-        for _ in range(1, max(jb, 1)):
-            term = (term * step).truncate_y(jb)
-            if term.is_zero():
-                break
-            acc = acc + term
-        alpha = acc.truncate_y(jb)
-    z = [[0] * b for _ in range(jb)]
-    for h in range(1, jb + 1):
-        row = alpha.level(h - 1)
-        for i in range(b):
-            z[h - 1][i] = row[i]
-    return SpecialNormalForm(n, b, j, tuple(tuple(r) for r in z))
+    e = _presentation_lead(M, b, [RingElem.monomial(params, 1, 0, j)])
+    return SpecialNormalForm(n, b, j, tuple(e.level(h)[:b] for h in range(1, jbar(n, j) + 1)))
 
 
 # -- enumeration -----------------------------------------------------------

@@ -172,23 +172,12 @@ class RingElem:
     def level(self, i: int) -> tuple[int, ...]:
         return self.coeffs[i]
 
-    def shift_y(self, k: int = 1) -> "RingElem":
-        n = self.params.n
-        grid = [[0] * self.params.N for _ in range(n)]
-        for i in range(n - k):
-            grid[i + k] = list(self.coeffs[i])
-        return RingElem(self.params, grid)
-
     def divide_y(self, k: int = 1) -> "RingElem":
         """Shift y-levels down by k. Requires vanishing below level k."""
         if any(any(self.coeffs[i]) for i in range(min(k, self.params.n))):
             raise DomainError("element is not divisible by y^k")
         grid = [list(r) for r in self.coeffs[k:]] + [[0] * self.params.N] * k
         return RingElem(self.params, grid)
-
-    def truncate_y(self, k: int) -> "RingElem":
-        """Kill all y-levels >= k."""
-        return RingElem(self.params, [list(r) for r in self.coeffs[:k]])
 
     def lift(self, params: RingParams) -> "RingElem":
         """Reinterpret at higher x-precision (coefficients are unchanged)."""

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import ext1_n3_closed_form, ext1_special_closed_form
 
-from multicurve.errors import MissingInput, ShapeError, UnsupportedConfig
+from multicurve.errors import DomainError, MissingInput, ShapeError, UnsupportedConfig
 from multicurve.ext import (
     ResolutionData,
     build_resolution,
@@ -63,6 +63,16 @@ class TestBuildResolution:
         par = RingParams(3, 18, 2)
         with pytest.raises(ShapeError):
             build_resolution(mod(par, "1"))
+
+    def test_rank_two_rejected(self):
+        # x, y and y^2, 0 span a submodule of A^2 (isomorphic to (x, y^2))
+        par = RingParams(3, 18, 2)
+        x, y, y2 = (parse_elem(t, par) for t in ("x", "y", "y^2"))
+        M = span_from_generators([(x, y), (y2, RingElem.zero(par))], params=par, ambient_rank=2)
+        with pytest.raises(DomainError):
+            build_resolution(M)
+        with pytest.raises(DomainError):
+            local_ext1_length(M)
 
     def test_multi_jump_needs_multiplicity_three(self):
         par = RingParams(4, required_precision(4, 3), 2)

@@ -53,6 +53,12 @@ GENERAL = [
     (4, (0, 1, 2), {(4, 1): (1,)}, 65521),
     (5, (0, 1, 1, 2), {(5, 3): (2,)}, 3),
 ]
+# (index into SPECIAL, unit): copies of a z != 0 stalk whose generators are
+# not its first RREF row, once times the unit and once times x
+DISGUISED = [(4, "1 + x^2 + y"), (6, "2 + x + 2*x*y")]
+# (n, N, p, generators, other generators): a stalk below N_min whose dual
+# needs the colon at n*v > N (v = 3, the y-degree-0 valuation)
+BELOW_N_MIN = [(4, 9, 3, ("x^3 + y", "y^2"), ("x^3", "y^2"))]
 SAMPLES = 8
 
 
@@ -94,9 +100,14 @@ def _dual_record(M):
 
 
 def _disguised(M, unit_text):
-    """The same module from its generators times a unit."""
+    """The module spanned by M's generators times an element: M itself when
+    the element is a unit."""
     u = parse_elem(unit_text, M.params)
     return span_from_generators([u * g[0] for g in M.gens], params=M.params)
+
+
+def _mod(par, texts):
+    return span_from_generators([parse_elem(t, par) for t in texts], params=par)
 
 
 def _record(M, other, *, special):
@@ -140,6 +151,19 @@ def compute():
         other = ideal_from_indices(make_general_form(n, beta), par)
         key = f"general n={n} beta={list(beta)} alpha={sorted(alpha.items())} p={p}"
         out[key] = _record(M, other, special=False)
+    for k, unit in DISGUISED:
+        n, b, j, p = SPECIAL[k]
+        par = RingParams(n, required_precision(n, b), p)
+        z = _z_grid(n, b, j, p, seed=k)
+        plain = special_ideal(make_special_form(n, b, j), par)
+        twisted = special_ideal(make_special_form(n, b, j, z), par)
+        key = f"special n={n} b={b} j={j} p={p} z={z}"
+        out[f"{key} times {unit}"] = _record(_disguised(twisted, unit), plain, special=True)
+        out[f"{key} times x"] = _record(_disguised(twisted, "x"), plain, special=True)
+    for n, N, p, gens, other in BELOW_N_MIN:
+        par = RingParams(n, N, p)
+        key = f"below N_min n={n} N={N} p={p} ({', '.join(gens)})"
+        out[key] = _record(_mod(par, gens), _mod(par, other), special=True)
     return out
 
 

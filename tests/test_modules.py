@@ -8,7 +8,9 @@ from multicurve.errors import ContainmentError, DomainError, NotInvertibleError
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
+    _close_rows,
     _colon,
+    _dual_rows_at,
     _min_valuation_element,
     _mul_rows,
     dual_module_oracle,
@@ -298,11 +300,53 @@ class TestDualOracle:
         assert dual_module_oracle(bare) == dual_module_oracle(M)
         assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
 
+    def test_colon_lifted_to_colength(self):
+        # s = x^3 + y at n = 4 has colength n*v = 12 > N = 9: the colon is
+        # exact only from precision 12 on
+        par = RingParams(4, 9, 3)
+        assert indices(dual_module_oracle(mod(par, "x^3 + y", "y^2"))) == (0, 3, 3)
+
     def test_double_dual_isomorphic(self):
         for texts in (("x^2", "x*y", "y^2"), ("x^2+y", "x*y", "y^2"), ("x", "y^2")):
             M = mod(P3, *texts)
             DD = dual_module_oracle(dual_module_oracle(M))
             assert is_isomorphic_oracle(M, DD) == "yes"
+
+
+def _dual_rows_by_doubling(M, N):
+    """The dual's rows by doubling: the colon at 2N, truncated to N, which
+    is exact whenever 2N >= n*v."""
+    work = M.params.with_precision(2 * N)
+    M2 = lift_module(M, work.N)
+    sol = _colon(_close_rows(_min_valuation_element(M2)[0].reshape(1, -1), work, 1), M2)
+    sol = sol.reshape(-1, work.n, work.N)[..., :N].reshape(len(sol), -1)
+    return linalg.span(sol, work.p, work.n * N)
+
+
+@st.composite
+def special_stalks(draw):
+    """A single-jump stalk at N_min, as built, times x, or without generators."""
+    n, b = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3]))
+    rows = min(j, n - j) - 1
+    z = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=b, max_size=b),
+                      min_size=rows, max_size=rows))
+    par = RingParams(n, required_precision(n, b), p)
+    M = special_ideal(make_special_form(n, b, j, z), par)
+    kind = draw(st.sampled_from(["built", "shifted", "bare"]))
+    if kind == "shifted":
+        x = parse_elem("x", par)
+        return span_from_generators([x * g[0] for g in M.gens], params=par)
+    return ModuleRep(par, 1, M.num) if kind == "bare" else M
+
+
+@settings(max_examples=30, deadline=None)
+@given(special_stalks())
+def test_dual_precision_rule_matches_doubling(M):
+    # both colons are exact here (2N >= n*v), so the precision max(N, n*v)
+    # must give the same space
+    for N in (M.params.N, M.params.N + 2):
+        assert _dual_rows_at(M, N) == _dual_rows_by_doubling(M, N)
 
 
 class TestIsomorphismOracle:

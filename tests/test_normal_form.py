@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +10,12 @@ from multicurve.normal_form import (
     EnumeratedModule,
     GeneralNormalForm,
     SpecialNormalForm,
+    _presentation_lead,
     enumerate_invertible_modules,
     general_form_from_json,
     ideal_from_indices,
     iter_normal_forms,
+    jbar,
     jump_position,
     make_general_form,
     make_special_form,
@@ -20,7 +23,7 @@ from multicurve.normal_form import (
     special_form_from_json,
     special_ideal,
 )
-from multicurve.ring import RingParams, parse_elem, required_precision
+from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
 P3 = RingParams(3, 18, 2)
 
@@ -120,6 +123,42 @@ class TestNormalizeSpecial:
         # indices of a stalk on C_m have m - 1 < n - 1 entries
         with pytest.raises(ShapeError):
             normalize_special(mod(P3, *gens))
+
+
+@st.composite
+def disguised_stalks(draw):
+    """(source form, a module equal to x^s times its ideal at N_min):
+    generated by u1 * x^s * (lead + a * y^j) and u2 * x^s * y^j, for dense
+    random units u1, u2 and a random a, so that no generator is its first
+    RREF row."""
+    n, b = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3, 65521]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    par = RingParams(n, required_precision(n, b), p)
+
+    def dense(unit=False):
+        grid = rng.integers(0, p, size=(n, par.N))
+        if unit:
+            grid[0, 0] = grid[0, 0] or 1
+        return RingElem(par, grid.tolist())
+
+    form = make_special_form(n, b, j, rng.integers(0, p, size=(jbar(n, j), b)).tolist())
+    lead, yj = special_ideal(form, par).gens[0][0], RingElem.monomial(par, 1, 0, j)
+    xs = RingElem.monomial(par, 1, draw(st.integers(0, 2)), 0)
+    gens = [dense(unit=True) * xs * (lead + dense() * yj), dense(unit=True) * xs * yj]
+    return form, span_from_generators(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_stalks())
+def test_normal_form_is_the_first_rref_row(case):
+    # the lead of x^(-s) M is its first RREF row: x^b on level 0 and x-degree
+    # below b on every other level, so z is read off it with no elimination
+    form, M = case
+    assert normalize_special(M) == form
+    lead = _presentation_lead(M, form.b, [RingElem.monomial(M.params, 1, 0, form.j)])
+    assert lead.level(0) == RingElem.monomial(M.params, 1, form.b, 0).level(0)
+    assert not any(any(lead.level(h)[form.b:]) for h in range(1, form.n))
 
 
 class TestUniqueness:
