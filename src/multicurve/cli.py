@@ -95,8 +95,7 @@ def cmd_isomorphic(args) -> int:
     from .modules import is_isomorphic_oracle
     A = _load_module(args.file_a)
     B = _load_module(args.file_b)
-    verdict = is_isomorphic_oracle(A, B, seed=args.seed)
-    _emit({"verdict": verdict})
+    _emit({"verdict": is_isomorphic_oracle(A, B)})
     return OK
 
 
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("isomorphic", help="surjection/isomorphism oracle on two module files")
     s.add_argument("file_a")
     s.add_argument("file_b")
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_isomorphic)
 
     s = sub.add_parser("stability", help="semistability of an index vector")

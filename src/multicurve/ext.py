@@ -164,19 +164,17 @@ def _ext1_once(I: ModuleRep) -> int:
     return (d_total - rank_a2) - rank_a1
 
 
-def local_ext1_length(I: ModuleRep, enforce_closed_form: bool = True) -> int:
+def local_ext1_length(I: ModuleRep) -> int:
     """Length of Ext^1(I, I) by exact linear algebra on the resolution.
 
     Certified at N and N+2; checked against the closed form
     (2*min(j, n-j)*b for single-jump shapes, 2*b2 + 2*min(b1, b2-b1) for
-    multiplicity 3) unless enforce_closed_form is False.
+    multiplicity 3) wherever one applies.
     """
     val = _certified(I.params.N, lambda N: _ext1_once(lift_module(I, N)))
-    if enforce_closed_form:
-        expected = closed_form_ext1(I.params.n, _indices_single(I))
-        if expected is not None and expected != val:
-            raise VerificationError(
-                f"resolution Ext^1 length {val} differs from closed form {expected}")
+    expected = closed_form_ext1(I.params.n, _indices_single(I))
+    if expected is not None and expected != val:
+        raise VerificationError(f"resolution Ext^1 length {val} differs from closed form {expected}")
     return val
 
 

@@ -42,14 +42,18 @@ the rows whose pivot lies at level n - k or later, and y^k M by the
 y^k-shifts of the other rows, which are still in RREF.  The pure quotient
 M / M^(n-i) is realized as its isomorphic image y^(n-i) M.
 
+The graded pieces of a submodule of A, hence its indices, are read off its
+lattice valuations (`_valuations`); `indices_by_definition` recomputes the
+indices from the filtrations.  In ambient rank >= 2 they raise DomainError.
+
 Both Hom computations are transporters ("colons") built by `_colon`: the
 dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
 (uM' : M).  Truncation at x^N makes a colon exact once x^N R lies in the
 target, R the untruncated ring: sR has colength n*v for s = x^v + y*h,
 so the dual is computed at precision max(N, n*v) (`_dual_rows_at`), and
-the oracle's uM' has colength at most n*(v + v') (`_iso_single`).  Every
-elimination, the oracle's rank test on each candidate map included, goes
-through `linalg`.
+the oracle's uM' has colength at most n*(v + v') (`_iso_single`).  The oracle
+tests the rows of a basis of Hom(M, M') for surjectivity, with no search.
+Every elimination, those rank tests included, goes through `linalg`.
 """
 
 from __future__ import annotations
@@ -357,32 +361,32 @@ class GradedReport:
         return tuple(t for _, t in self.levels)
 
 
-def _piece_x_len(num: linalg.Subspace, den: linalg.Subspace, params, rank, k: int) -> int:
-    """Length of x^k * (num/den)."""
-    sub = den.copy()
-    sub.insert(_shift(num.rows(), params, rank, k, 0))
-    return sub.dim - den.dim
-
-
-def _rank_torsion(num: linalg.Subspace, den: linalg.Subspace, params, rank) -> tuple[int, int]:
-    # Image differencing at depth T = N//2: free generators keep contributing
-    # exactly one dimension per x-power there, torsion is long dead.
-    T = params.N // 2
-    l0 = num.dim - den.dim
-    lT = _piece_x_len(num, den, params, rank, T)
-    lT1 = _piece_x_len(num, den, params, rank, T + 1)
-    rk = lT - lT1
-    tors = l0 - lT - rk * T
-    if rk < 0 or tors < 0:
-        raise PrecisionError("graded rank/torsion extraction unstable; raise N")
-    return rk, tors
+def _valuations(M: ModuleRep) -> tuple[int, ...]:
+    """The x-degree of the first pivot in each occupied y-level block of the
+    RREF, lowest level first: the valuations v of M's F_p[[x]]-lattice basis.
+    y maps a row with pivot x^a at level l to one with pivot x^a at level
+    l + 1, so the occupied levels are n - m .. n - 1 and v never grows."""
+    _require_rank1(M, "a graded report or index vector")
+    N = M.params.N
+    pivots = np.asarray(M.num.pivots, dtype=np.int64)
+    first = np.flatnonzero(np.diff(pivots // N, prepend=-1))
+    return tuple(int(a) for a in pivots[first] % N)
 
 
 def _graded_single(M: ModuleRep, which: str) -> GradedReport:
-    chain = _filtration(M, which)
-    # the pieces are y^i M / y^(i+1) M, or M^(i+1) / M^(i) of the increasing chain
-    pairs = zip(chain, chain[1:]) if which == "first" else zip(chain[1:], chain)
-    return GradedReport(tuple(_rank_torsion(num, den, M.params, M.ambient_rank) for num, den in pairs))
+    # y^(k+1) M tensor F_p((x)) is the span of the levels above n - m + k, so
+    # y^(k+1) M is saturated in y^k M cut to those levels: for k < m, G_k has
+    # rank 1 and torsion v[0] - v[m-1-k] (the drops telescope).  ann_M(y^k) is
+    # M cut to the levels from n - k on, saturated: the second pieces are free.
+    v, n = _valuations(M), M.params.n
+    m = len(v)
+    if which == "first":
+        levels = [(1, v[0] - v[m - 1 - k]) for k in range(m)]
+    elif which == "second":
+        levels = [(1, 0)] * m
+    else:
+        raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
+    return GradedReport(tuple(levels) + ((0, 0),) * (n - m))
 
 
 def _certified(N: int, compute, key=None):
@@ -396,42 +400,37 @@ def _certified(N: int, compute, key=None):
 
 
 def graded_report(M: ModuleRep, which: str = "first") -> GradedReport:
-    """Ranks and torsion lengths of the graded pieces, certified at N and N+2."""
+    """(rank, torsion) of each graded piece y^k M / y^(k+1) M ('first') or
+    M^(k+1) / M^(k) ('second') of a submodule of A, read off the lattice
+    valuations v and certified at N and N+2: (1, v[0] - v[m-1-k]), resp.
+    (1, 0), for k < m, the depth of M's subcurve, and (0, 0) after."""
     return _certified(M.params.N, lambda N: _graded_single(lift_module(M, N), which))
 
 
-def _support_depth(rep: GradedReport) -> int:
-    """Depth m when the module is generalized invertible on C_m, else raise.
-
-    A generalized line bundle stalk supported on the depth-m subcurve has
-    first graded ranks (1, ..., 1, 0, ..., 0) with m ones and no torsion in
-    the vanishing levels.
-    """
-    ranks, torsions = rep.ranks, rep.torsions
-    m = 0
-    while m < len(ranks) and ranks[m] == 1:
-        m += 1
-    if m == 0 or any(ranks[m:]) or any(torsions[m:]):
-        raise NotInvertibleError(
-            f"module is not generalized invertible: first graded ranks {ranks}")
-    return m
+def _support_depth(v: tuple[int, ...]) -> int:
+    """The number m of occupied y-levels: every nonzero submodule of A is
+    generalized invertible on the depth-m subcurve; the zero module raises."""
+    if not v:
+        raise NotInvertibleError("the zero module is not generalized invertible")
+    return len(v)
 
 
 def _indices_single(M: ModuleRep) -> tuple[int, ...]:
-    rep = _graded_single(M, "first")
-    m = _support_depth(rep)
-    return tuple(rep.torsions[m - 1 - i] for i in range(1, m))
+    # beta_i is the torsion of G_(m-1-i), v[0] - v[i]
+    v = _valuations(M)
+    return tuple(v[0] - v[i] for i in range(1, _support_depth(v)))
 
 
 def indices(M: ModuleRep) -> tuple[int, ...]:
-    """(beta_1, ..., beta_{n-1}): torsion of G_{n-1-i}(M), certified."""
+    """(beta_1, ..., beta_(m-1)) of a nonzero submodule of A: the torsion
+    v[0] - v[i] of G_(m-1-i), read off the valuations; certified."""
     return _certified(M.params.N, lambda N: _indices_single(lift_module(M, N)))
 
 
 def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
     # With M-bar = M / M^(m-i-1), taken on preimages in M: (M-bar)^(1) is
     # M^(m-i), and y^i M-bar is y^i M + M^(m-i-1).
-    m = _support_depth(_graded_single(M, "first"))
+    m = _support_depth(_valuations(M))
     images, kernels = _filtration(M, "first"), _filtration(M, "second")
     out = []
     for i in range(1, m):
@@ -445,7 +444,8 @@ def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
 
 
 def indices_by_definition(M: ModuleRep) -> tuple[int, ...]:
-    """beta_i = length( (M-bar_{i+1})^(1) / y^i * M-bar_{i+1} ), certified."""
+    """beta_i = length( (M-bar_{i+1})^(1) / y^i * M-bar_{i+1} ), certified: the
+    definition on the filtrations, a check on `indices` (m is read off v)."""
     return _certified(M.params.N, lambda N: _indices_by_definition_single(lift_module(M, N)))
 
 
@@ -483,10 +483,10 @@ def _require_rank1(M: ModuleRep, what: str) -> None:
         raise DomainError(f"{what} is defined for submodules of A only")
 
 
-def _require_full_invertible(M: ModuleRep) -> None:
-    rep = _graded_single(M, "first")
-    if _support_depth(rep) != M.params.n:
-        raise NotInvertibleError("module is supported on a proper subcurve")
+def _require_full_invertible(M: ModuleRep, what: str) -> None:
+    _require_rank1(M, what)
+    if len(_valuations(M)) != M.params.n:
+        raise NotInvertibleError(f"{what} needs a module supported on the whole curve")
 
 
 def _colon(target: linalg.Subspace, M: ModuleRep) -> np.ndarray:
@@ -532,8 +532,7 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     Certified: the realization is computed independently at N and N+2 and
     the two index vectors must agree.
     """
-    _require_rank1(M, "dual_module_oracle")
-    _require_full_invertible(M)
+    _require_full_invertible(M, "dual_module_oracle")
     return _certified(
         M.params.N,
         lambda N: ModuleRep(M.params.with_precision(N), 1, _dual_rows_at(M, N)),
@@ -542,12 +541,8 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
 
 # -- isomorphism oracle ---------------------------------------------------
 
-YES = "yes"
-NO = "no"
-INCONCLUSIVE = "inconclusive"
 
-
-def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples: int, seed: int) -> str:
+def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int) -> str:
     par = M.params.with_precision(N_target)
     A = lift_module(M, N_target)
     B = lift_module(Mp, N_target)
@@ -569,69 +564,35 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int, budget: int, samples
     # and u (nonzero y-degree-0 part) is a nonzerodivisor of R: t = m'.
     # Below that precision the N/N+2 certification guards the verdict.
     T_rows = _colon(W, A)
-    d = T_rows.shape[0]
-    if d == 0:
-        return NO
 
-    # top[g][i]: g * t_i mod m*(u M'), in coordinates of W / m*(u M').  By
-    # Nakayama (m is nilpotent) t maps M onto u M' exactly when the images of
-    # the generators span W / m*(u M'), i.e. when lam @ top has rank c.  That
-    # only depends on t mod T0 = {t : every image lies in m*(u M')}, so
-    # exhausting T/T0 is exhaustive over Hom.
+    # top[k][g]: g * t_k mod m*(u M'), in coordinates of W / m*(u M').  By
+    # Nakayama (m is nilpotent) t_k maps M onto u M' exactly when top[k] has
+    # rank c.  The maps that are not onto form a subspace of T: all of T if M
+    # and M' are not isomorphic (a surjection between torsion-free
+    # F_p[[x]]-modules of equal rank n is bijective), else phi*J for an
+    # isomorphism phi and the radical J of End(M).  End(M) is local: it is
+    # finite over F_p[[x]] inside K[y]/(y^n), K = F_p((x)), whose only
+    # idempotents are 0 and 1.  A proper subspace misses a row of every
+    # basis, so M and M' are isomorphic exactly when some row of T is onto.
     imgs = np.stack([Wm.reduce(_mul_rows(g, T_rows, par, 1)) for g in _generator_rows(A)])
-    top = imgs[:, :, v_pivots]
-    T0_sub = linalg.span(linalg.nullspace(np.hstack(top).T, p), p, d)
-    free = np.setdiff1d(np.arange(d), T0_sub.pivots)
-    d_eff = free.size
-
-    def surjects(lam_mat: np.ndarray, rows: np.ndarray) -> bool:
-        # lam_mat: (K x len(rows)) coordinates of K candidates t on `rows` of T
-        per = (lam_mat @ top[:, rows, :]) % p  # (g, K, c)
-        for k in range(lam_mat.shape[0]):
-            if linalg.rank(per[:, k, :], p) == c:
-                t = (lam_mat[k] @ T_rows[rows]) % p
-                if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
-                    raise VerificationError("a map onto W / m*W does not map M onto u*M'")
-                return True
-        return False
-
-    chunk = 4096
-    if p**d_eff <= budget:
-        # candidate k has the base-p digits of k as its coordinates on T/T0
-        total = p**d_eff
-        weights = p ** np.arange(d_eff, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            k = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            if surjects((k[:, None] // weights) % p, free):
-                return YES
-        return NO
-
-    rng = np.random.default_rng(seed)
-    remaining = samples
-    while remaining > 0:
-        K = min(chunk, remaining)
-        remaining -= K
-        if surjects(rng.integers(0, p, size=(K, d), dtype=np.int64), np.arange(d)):
-            return YES
-    return INCONCLUSIVE
+    top = imgs[:, :, v_pivots].transpose(1, 0, 2)
+    for t, block in zip(T_rows, top):
+        if linalg.rank(block, p) == c:
+            if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
+                raise VerificationError("a map onto W / m*W does not map M onto u*M'")
+            return "yes"
+    return "no"
 
 
-def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep, budget: int = 2**16,
-                         samples: int = 10**4, seed: int = 0) -> str:
-    """Decide existence of an A-linear surjection M -> M' (hence isomorphism).
-
-    Exhaustive over Hom(M, M') modulo maps that are not onto mod the maximal
-    ideal whenever that quotient has at most `budget` elements; randomized
-    above (then a failed search is only 'inconclusive').  The verdict is
-    computed at N and N+2 and must agree.
-    """
+def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep) -> str:
+    """'yes' if M and M' are isomorphic, else 'no': exactly when some row of
+    a basis of Hom(M, M') is onto (at most dim Hom rank tests), the first onto
+    row confirmed by its image.  Computed at N and N+2, which must agree."""
     if M.params != Mp.params:
         raise ParameterMismatch("isomorphism oracle needs identical ring parameters")
-    _require_rank1(M, "is_isomorphic_oracle")
-    _require_rank1(Mp, "is_isomorphic_oracle")
-    _require_full_invertible(M)
-    _require_full_invertible(Mp)
-    return _certified(M.params.N, lambda N: _iso_single(M, Mp, N, budget, samples, seed))
+    _require_full_invertible(M, "is_isomorphic_oracle")
+    _require_full_invertible(Mp, "is_isomorphic_oracle")
+    return _certified(M.params.N, lambda N: _iso_single(M, Mp, N))
 
 
 # -- module-spec files ----------------------------------------------------

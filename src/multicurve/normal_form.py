@@ -295,7 +295,7 @@ class EnumeratedModule:
 
 
 def enumerate_invertible_modules(n: int, beta_max: int, params: RingParams,
-                                 ceiling: int = 4096, seed: int = 0) -> list[EnumeratedModule]:
+                                 ceiling: int = 4096) -> list[EnumeratedModule]:
     """All normal-form ideals with beta <= beta_max; oracle-flagged duplicates.
 
     The alpha-parametrization is only reduced modulo the presentation's
@@ -310,7 +310,7 @@ def enumerate_invertible_modules(n: int, beta_max: int, params: RingParams,
     for form in forms:
         mod = ideal_from_indices(form, params)
         dup = next((prev for prev in by_beta.get(form.beta, [])
-                    if is_isomorphic_oracle(mod, out[prev].module, seed=seed) == "yes"), None)
+                    if is_isomorphic_oracle(mod, out[prev].module) == "yes"), None)
         entry = EnumeratedModule(form, mod, dup)
         by_beta.setdefault(form.beta, []).append(len(out))
         out.append(entry)

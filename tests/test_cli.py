@@ -65,6 +65,13 @@ class TestIndicesCommand:
         assert main(["indices", str(path)]) == 1
         assert "invalid input" in capsys.readouterr().err
 
+    def test_rank_two_module_is_invalid_input(self, tmp_path, capsys):
+        # the indices are defined for submodules of A only
+        path = tmp_path / "rank2.txt"
+        path.write_text("ring n=3 N=18 p=2 rank=2\nx, y\ny^2, 0\n")
+        assert main(["indices", str(path)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_precision_override(self, capsys, module_file, monkeypatch):
         monkeypatch.setenv("PMC_PRECISION", "22")
         code, payload = run_json(capsys, ["indices", module_file])
@@ -89,6 +96,8 @@ class TestOracleCommands:
         assert code == 0 and payload["verdict"] == "no"
         code, payload = run_json(capsys, ["isomorphic", module_file, module_file])
         assert payload["verdict"] == "yes"
+        # the verdict is decided, never sampled: there is no seed to pass
+        assert main(["isomorphic", module_file, module_file, "--seed", "1"]) == 1
 
     def test_normalize(self, capsys, tmp_path):
         path = tmp_path / "single.txt"

@@ -5,6 +5,7 @@ from helpers import ext1_n3_closed_form, ext1_special_closed_form
 from multicurve.errors import DomainError, MissingInput, ShapeError, UnsupportedConfig
 from multicurve.ext import (
     ResolutionData,
+    _n3_shape,
     build_resolution,
     closed_form_ext1,
     global_ext1_dimension,
@@ -15,6 +16,7 @@ from multicurve.moduli import LocalConfig, PointIndices, special_point
 from multicurve.modules import is_isomorphic_oracle, span_from_generators
 from multicurve.normal_form import (
     ideal_from_indices,
+    iter_normal_forms,
     make_general_form,
     make_special_form,
     special_ideal,
@@ -156,3 +158,24 @@ class TestGlobalExt:
         cp = CurveParams(4, 2, 2, 0)
         with pytest.raises(UnsupportedConfig):
             global_ext1_dimension(cp, LocalConfig(4, (PointIndices((1, 2, 3)),)), stable=True)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_n3_reduced_alpha_is_an_isomorphism_key(p):
+    # every n = 3 normal form with b2 <= 3, bucketed by beta and by the reduced
+    # (b1, b2, alpha) of `_n3_shape`: each form is isomorphic to the first of
+    # its key class, and the first forms of distinct classes are not, so by
+    # transitivity the key and the oracle agree on every same-beta pair
+    par = RingParams(3, required_precision(3, 3), p)
+    buckets = {}
+    for form in iter_normal_forms(3, 3, p):
+        I = ideal_from_indices(form, par)
+        alpha, b1, b2 = _n3_shape(I, form.beta)
+        buckets.setdefault(form.beta, {}).setdefault((b1, b2, alpha.level(0)), []).append(I)
+    assert any(len(classes) > 1 for classes in buckets.values())
+    for classes in buckets.values():
+        firsts = [members[0] for members in classes.values()]
+        for members in classes.values():
+            assert all(is_isomorphic_oracle(members[0], I) == "yes" for I in members[1:])
+        for k, a in enumerate(firsts):
+            assert all(is_isomorphic_oracle(a, b) == "no" for b in firsts[k + 1:])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -183,6 +184,46 @@ class TestUniqueness:
                     rows_z = min(j, n - j) - 1
                     want = tuple(tuple(vals[r * b:(r + 1) * b]) for r in range(rows_z))
                     assert normalize_special(M).z == want
+
+
+def _single_jump_pairs():
+    """(A, B): single-jump stalks at N_min with n = 3..5 and p in {2, 3, 5},
+    A with disguised generators u1*x*(lead + a*y^j), u2*x*y^j (u1, u2 units),
+    B built from its normal form.  Where z has a row, six pairs per (n, j, p),
+    the first sharing z and the others not; else one pair."""
+    rng = np.random.default_rng(29)
+    for n, p in itertools.product((3, 4, 5), (2, 3, 5)):
+        for j in range(1, n):
+            rows, b = jbar(n, j), 2 if n == 3 else 1
+            par = RingParams(n, required_precision(n, b), p)
+            x, yj = RingElem.monomial(par, 1, 1, 0), RingElem.monomial(par, 1, 0, j)
+
+            def dense(unit=False):
+                grid = rng.integers(0, p, size=(n, par.N))
+                if unit:
+                    grid[0, 0] = grid[0, 0] or 1
+                return RingElem(par, grid.tolist())
+
+            def z_grid():
+                return rng.integers(0, p, size=(rows, b)).tolist()
+
+            for k in range(6 if rows else 1):
+                za = zb = z_grid()
+                while k and zb == za:
+                    zb = z_grid()
+                lead = special_ideal(make_special_form(n, b, j, za), par).gens[0][0]
+                A = span_from_generators(
+                    [dense(unit=True) * x * (lead + dense() * yj), dense(unit=True) * x * yj])
+                yield A, special_ideal(make_special_form(n, b, j, zb), par)
+
+
+def test_normal_form_is_an_isomorphism_key():
+    # z is unique, so normalize_special is a complete invariant of a
+    # single-jump stalk: the oracle says yes exactly when the keys agree
+    verdicts = [(is_isomorphic_oracle(A, B) == "yes", normalize_special(A) == normalize_special(B))
+                for A, B in _single_jump_pairs()]
+    assert all(iso == same_key for iso, same_key in verdicts)
+    assert sum(not iso for iso, _ in verdicts) >= 40
 
 
 class TestEnumeration:
