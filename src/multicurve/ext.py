@@ -1,30 +1,39 @@
-"""Local Ext^1 lengths of generalized invertible stalks via their explicit
-periodic free resolutions, and global Ext^1 / tangent assembly.
+"""Local Ext^1 lengths of generalized invertible stalks via the periodic free
+resolution read off their lattice rows, and global Ext^1 / tangent assembly.
 
-A single-jump stalk I = (x^b + alpha*y, y^j) has the period-2 resolution
+A stalk I of A supported on the whole curve is an F_p[[x]]-lattice with
+basis rows h_0, ..., h_(n-1), where h_l is x^(v_l) y^l plus higher y-levels
+and v never grows (`modules._valuations`).  The generators f_0, ..., f_(r-1)
+are the rows h_(g_i) at level g_0 = 0 and at each level g_i where v drops;
+d_i = g_(i+1) - g_i is the gap to the next one (g_r = n).  Each y^(d_i) f_i
+lies in I and vanishes below level g_(i+1), so it is cleared level by level
+by x-polynomial multiples of y^(l - g_k) f_k, g_k <= l < g_(k+1), which lead
+with x^(v_l) y^l: each division is exact, as an element of I that vanishes
+below level l has a level-l entry of x-valuation >= v_l.  This gives
+y^(d_i) f_i = sum_(k > i) a[k, i] f_k, and with
 
-    ... -> A^2 --M2--> A^2 --M1--> A^2 --f--> I -> 0,
-    f = (y^j, x^b + alpha*y),
-    M1 = [[y^(n-j), -(x^b + alpha*y)], [0, y^j]],
-    M2 = [[y^j,      x^b + alpha*y ], [0, y^(n-j)]].
+    M1 = diag(y^(d_i)) - a,    M2 = adj(M1) = y^n M1^(-1),
 
-For n = 3 and 0 < b1 < b2 the three-generator stalk
-I = (x^b2 + alpha*y, x^(b2-b1)*y, y^2) resolves with
+    ... -> A^r --M2--> A^r --M1--> A^r --f--> I -> 0
 
-    f  = (y^2, x^(b2-b1)*y, x^b2 + alpha*y),
-    M1 = [[y, -x^(b2-b1), -alpha], [0, y, -x^b1], [0, 0, y]],
-    M2 = [[y^2, x^(b2-b1)*y, x^b2 + alpha*y], [0, y^2, x^b1*y], [0, 0, y^2]],
+is the resolution.  Why it is exact: over S = F_p[[x]][y], M1 is lower
+triangular with diagonal y^(d_i), so coker(M1) is spanned over F_p[[x]] by
+the n elements y^t e_i, t < d_i.  Their images y^t f_i lead with
+x^(v_l) y^l at l = g_i + t, like h_l, so they are an F_p[[x]]-basis of I,
+which is free of rank n: coker(M1) maps onto I by an isomorphism, and M1
+presents I.  det M1 = y^n, so (M1, adj M1) is a matrix factorization of y^n
+and gives a 2-periodic resolution over R = S/(y^n) (Eisenbud 1980,
+"Homological algebra on a complete intersection").  The identities
+f.M1 = M1.M2 = M2.M1 = 0 are checked exactly on construction.
 
-after reducing alpha modulo x^min(b1, b2-b1) (an isomorphism of stalks).
-Both complexes are verified exactly on construction; Ext^1(I, I) is the
-homology ker(.M2)/im(.M1) of the induced maps on Hom(A^r, I) = I^r, and the
-computed length must match the closed form 2*min(j, n-j)*b, respectively
-2*b2 + 2*min(b1, b2 - b1).
+For a single-jump stalk (x^b + alpha*y, y^j) this is r = 2, and for an
+n = 3 two-jump stalk r = 3.  Ext^1(I, I) is the homology ker(.M2)/im(.M1)
+of the induced maps on Hom(A^r, I) = I^r, certified at N and N+2 and
+checked against the closed form 2*min(j, n-j)*b, respectively
+2*b2 + 2*min(b1, b2 - b1), wherever one applies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,141 +45,114 @@ from .modules import (
     ModuleRep,
     _certified,
     _indices_single,
+    _lattice_rows,
     _mul_rows,
-    _require_rank1,
-    flatten,
+    _require_full_invertible,
+    _shift,
+    _valuations,
     lift_module,
 )
-from .normal_form import _presentation_lead, jump_position
-from .ring import RingElem
+from .ring import RingParams
 
 
-@dataclass(frozen=True)
-class ResolutionData:
-    """Generator images f and the two alternating relation matrices."""
-
-    f: tuple[RingElem, ...]
-    M1: tuple[tuple[RingElem, ...], ...]
-    M2: tuple[tuple[RingElem, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.f)
-
-    def __post_init__(self):
-        r = len(self.f)
-        params = self.f[0].params
-        zero = RingElem.zero(params)
-        for col in range(r):
-            acc = zero
-            for row in range(r):
-                acc = acc + self.M1[row][col] * self.f[row]
-            if not acc.is_zero():
-                raise ShapeError("resolution is not a complex: f o M1 != 0")
-        for A, B in ((self.M1, self.M2), (self.M2, self.M1)):
-            for i in range(r):
-                for j in range(r):
-                    acc = zero
-                    for k in range(r):
-                        acc = acc + A[i][k] * B[k][j]
-                    if not acc.is_zero():
-                        raise ShapeError("resolution is not a complex: M1*M2 != 0")
+def _matmul(A: np.ndarray, B: np.ndarray, params: RingParams) -> np.ndarray:
+    """The matrix product of (s, r) and (r, t) arrays of flat rows of A."""
+    out = np.zeros((A.shape[0],) + B.shape[1:], dtype=np.int64)
+    for i, k in np.ndindex(A.shape[:2]):
+        out[i] += _mul_rows(A[i, k], B[k], params, 1)
+    return out % params.p
 
 
-# -- shape extraction ------------------------------------------------------
+def _check_complex(f: np.ndarray, M1: np.ndarray, M2: np.ndarray, params: RingParams) -> None:
+    """f.M1 = M1.M2 = M2.M1 = 0 exactly, else VerificationError."""
+    for name, prod in (("f.M1", _matmul(f[None], M1, params)),
+                       ("M1.M2", _matmul(M1, M2, params)),
+                       ("M2.M1", _matmul(M2, M1, params))):
+        if prod.any():
+            raise VerificationError(f"resolution is not a complex: {name} != 0")
 
 
-def _n3_shape(I: ModuleRep, beta) -> tuple[RingElem, int, int]:
-    """(alpha, b1, b2) for the three-generator multiplicity-3 shape."""
-    b1, b2 = beta
-    params = I.params
-    fixed = [RingElem.monomial(params, 1, b2 - b1, 1), RingElem.monomial(params, 1, 0, 2)]
-    lead = _presentation_lead(I, b2, fixed)
-    # alpha is only relevant modulo x^(b2-b1) (presentation ambiguity) and
-    # modulo x^b1 (an isomorphism of stalks); reduce before resolving.
-    cut = min(b1, b2 - b1)
-    alpha_row = lead.level(1)[:cut]
-    grid = [[0] * params.N for _ in range(params.n)]
-    grid[0][: len(alpha_row)] = list(alpha_row)
-    return RingElem(params, grid), b1, b2
-
-
-def build_resolution(I: ModuleRep, beta=None) -> ResolutionData:
-    """Periodic free resolution of a single-jump stalk (any n) or any
-    multiplicity-3 stalk; the complex identities are checked exactly."""
-    _require_rank1(I, "local_ext1_length")
-    params = I.params
-    n = params.n
-    if beta is None:
-        beta = _indices_single(I)
-    if len(beta) != n - 1:
-        raise ShapeError("module is supported on a proper subcurve")
-    if not any(beta):
+def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, M1, M2) of the periodic resolution of a non-free stalk on the whole
+    curve, as flat rows of A of shapes (r, n*N), (r, r, n*N) and (r, r, n*N);
+    the complex identities are checked exactly."""
+    _require_full_invertible(I, "build_resolution")
+    par = I.params
+    n, N, p = par.n, par.N, par.p
+    v = _valuations(I)
+    if v[0] == v[-1]:
         raise ShapeError("free module: nothing to resolve")
-    zero = RingElem.zero(params)
+    gens = [0] + [l for l in range(1, n) if v[l] < v[l - 1]]
+    ends = gens[1:] + [n]
+    r = len(gens)
+    f = _lattice_rows(I.num, par)[gens]
+    one = np.zeros(n * N, dtype=np.int64)
+    one[0] = 1
 
-    single_jump = all(v in (0, beta[-1]) for v in beta)
-    if single_jump:
-        j, b = jump_position(beta)
-        yj = RingElem.monomial(params, 1, 0, j)
-        lead = _presentation_lead(I, b, [yj])  # I = (x^b + alpha*y, y^j)
-        ynj = RingElem.monomial(params, 1, 0, n - j)
-        M1 = ((ynj, -lead), (zero, yj))
-        M2 = ((yj, lead), (zero, ynj))
-        return ResolutionData((yj, lead), M1, M2)
+    M1 = np.zeros((r, r, n * N), dtype=np.int64)
+    for i in range(r):
+        M1[i, i] = _shift(one, par, 1, 0, ends[i] - gens[i])
+        e = _shift(f[i], par, 1, 0, ends[i] - gens[i])
+        for k in range(i + 1, r):
+            for l in range(gens[k], ends[k]):
+                level = e[l * N:(l + 1) * N]
+                if level[:v[l]].any():
+                    raise VerificationError(f"y^{ends[i] - gens[i]} f_{i} is not divisible by x^{v[l]} at y-level {l}")
+                c = np.zeros(n * N, dtype=np.int64)
+                c[(l - gens[k]) * N:][:N - v[l]] = level[v[l]:]
+                e = (e - _mul_rows(c, f[k], par, 1)) % p
+                M1[k, i] -= c
+    M1 %= p
 
-    if n != 3:
-        raise ShapeError("general multi-jump resolutions are only available for n = 3")
-    alpha, b1, b2 = _n3_shape(I, beta)
-    x_b1 = RingElem.monomial(params, 1, b1, 0)
-    x_d = RingElem.monomial(params, 1, b2 - b1, 0)
-    y = RingElem.monomial(params, 1, 0, 1)
-    y2 = RingElem.monomial(params, 1, 0, 2)
-    lead = RingElem.monomial(params, 1, b2, 0) + alpha * y
-    f = (y2, x_d * y, lead)
-    M1 = ((y, -x_d, -alpha), (zero, y, -x_b1), (zero, zero, y))
-    M2 = ((y2, x_d * y, lead), (zero, y2, x_b1 * y), (zero, zero, y2))
-    return ResolutionData(f, M1, M2)
+    # column i of adj(M1) = y^n M1^(-1): M2[j, i] = y^(n - d_i - ... - d_j) P_j
+    # with P_i = 1 and P_j = sum_(i <= c < j) a[j, c] y^(d_(c+1) + ... + d_(j-1)) P_c
+    M2 = np.zeros_like(M1)
+    for i in range(r):
+        P = {i: one}
+        for j in range(i, r):
+            if j > i:
+                P[j] = -sum(_shift(_mul_rows(M1[j, c], P[c], par, 1), par, 1, 0, gens[j] - ends[c])
+                            for c in range(i, j)) % p
+            M2[j, i] = _shift(P[j], par, 1, 0, n - ends[j] + gens[i])
+    _check_complex(f, M1, M2, par)
+    return f, M1, M2
 
 
 # -- homology ---------------------------------------------------------------
 
 
-def _hom_action_matrix(res_mat, I: ModuleRep) -> np.ndarray:
+def _hom_action_matrix(res_mat: np.ndarray, I: ModuleRep) -> np.ndarray:
     """Matrix of phi -> phi o M on Hom(A^r, I) = I^r in I-basis coordinates."""
     basis = I.num.rows()
     pivots = list(I.num.pivots)
 
-    def block(e: RingElem) -> np.ndarray:
+    def block(e: np.ndarray) -> np.ndarray:
         # column t: coordinates of e * (basis row t); valid as the basis is in RREF
-        return _mul_rows(flatten(e, I.params, 1), basis, I.params, 1)[:, pivots].T
+        return _mul_rows(e, basis, I.params, 1)[:, pivots].T
 
     # block (j, k): component j of phi o M picks (M)_{k j} * v_k
     r = len(res_mat)
-    return np.block([[block(res_mat[k][j]) for k in range(r)] for j in range(r)])
+    return np.block([[block(res_mat[k, j]) for k in range(r)] for j in range(r)])
 
 
 def _ext1_once(I: ModuleRep) -> int:
-    beta = _indices_single(I)
-    if not any(beta):
+    if not any(_indices_single(I)):
         return 0
-    res = build_resolution(I, beta)
-    a1 = _hom_action_matrix(res.M1, I)
-    a2 = _hom_action_matrix(res.M2, I)
-    p = I.params.p
-    d_total = a1.shape[0]
-    rank_a1 = linalg.rank(a1, p)
-    rank_a2 = linalg.rank(a2, p)
-    return (d_total - rank_a2) - rank_a1
+    _, M1, M2 = build_resolution(I)
+    a1, a2 = _hom_action_matrix(M1, I), _hom_action_matrix(M2, I)
+    # dim ker(.M2) - dim im(.M1) on Hom(A^r, I)
+    return a1.shape[0] - linalg.rank(a2, I.params.p) - linalg.rank(a1, I.params.p)
 
 
 def local_ext1_length(I: ModuleRep) -> int:
-    """Length of Ext^1(I, I) by exact linear algebra on the resolution.
+    """Length of Ext^1(I, I) by exact linear algebra on the resolution, for
+    any stalk supported on the whole curve (else NotInvertibleError).
 
     Certified at N and N+2; checked against the closed form
     (2*min(j, n-j)*b for single-jump shapes, 2*b2 + 2*min(b1, b2-b1) for
     multiplicity 3) wherever one applies.
     """
+    _require_full_invertible(I, "local_ext1_length")
     val = _certified(I.params.N, lambda N: _ext1_once(lift_module(I, N)))
     expected = closed_form_ext1(I.params.n, _indices_single(I))
     if expected is not None and expected != val:

@@ -129,28 +129,28 @@ def suite_stability(seed: int) -> tuple[int, list[str]]:
 
 
 def suite_ext(seed: int) -> tuple[int, list[str]]:
-    checks, failures = 0, []
+    cases = []  # (witness, stalk, whether to compare with the dual's length)
     for n in (2, 3, 4):
         params = RingParams(n, required_precision(n, 2), 2)
-        for j in range(1, n):
-            for b in (1, 2):
-                I = nf.special_ideal(nf.make_special_form(n, b, j), params)
-                checks += 1
-                try:
-                    ext_mod.local_ext1_length(I)
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(f"ext special n={n} j={j} b={b}: {exc}")
+        cases += [(f"special n={n} j={j} b={b}", nf.special_ideal(nf.make_special_form(n, b, j), params), False)
+                  for j in range(1, n) for b in (1, 2)]
     params = RingParams(3, required_precision(3, 2), 2)
-    for form in nf.iter_normal_forms(3, 2, 2):
-        if not any(form.beta):
-            continue
-        I = nf.ideal_from_indices(form, params)
-        checks += 1
+    cases += [(f"n=3 form={form}", nf.ideal_from_indices(form, params), False)
+              for form in nf.iter_normal_forms(3, 2, 2) if any(form.beta)]
+    # no closed form beyond n = 3: Hom(-, R) is an exact duality on maximal
+    # Cohen-Macaulay modules over the Gorenstein ring R, so I and I* agree
+    params = RingParams(4, required_precision(4, 1), 2)
+    cases += [(f"duality n=4 form={form}", nf.ideal_from_indices(form, params), True)
+              for form in nf.iter_normal_forms(4, 1, 2) if any(form.beta)]
+    failures = []
+    for label, I, dual in cases:
         try:
-            ext_mod.local_ext1_length(I)
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"ext n=3 form={form}: {exc}")
-    return checks, failures
+            length = ext_mod.local_ext1_length(I)
+            if dual and length != ext_mod.local_ext1_length(md.dual_module_oracle(I)):
+                failures.append(f"ext {label}")
+        except Exception as exc:  # noqa: BLE001 - report as witness
+            failures.append(f"ext {label}: {exc}")
+    return len(cases), failures
 
 
 def suite_moduli(seed: int) -> tuple[int, list[str]]:

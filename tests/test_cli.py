@@ -118,6 +118,30 @@ class TestOracleCommands:
         assert payload["local_ext1_length"] == 6
         assert payload["closed_form"] == 6
 
+    def test_ext_on_a_copy_whose_lead_is_not_x_reduced(self, capsys, tmp_path):
+        # ((x^2 + y) / x) * (x, y): isomorphic to (x, y), so its length is 2
+        path = tmp_path / "copy.txt"
+        path.write_text("ring n=2 N=8 p=2\nx^2 + y\nx*y\n")
+        code, payload = run_json(capsys, ["ext", str(path)])
+        assert code == 0
+        assert (payload["local_ext1_length"], payload["closed_form"], payload["beta"]) == (2, 2, [1])
+
+    def test_ext_beyond_the_closed_forms(self, capsys, tmp_path):
+        # the monomial (1, 2, 3) stalk at n = 4: the paper has no closed form
+        path = tmp_path / "multi.txt"
+        path.write_text("ring n=4 N=32 p=2\nx^3\nx^2*y\nx*y^2\ny^3\n")
+        code, payload = run_json(capsys, ["ext", str(path)])
+        assert code == 0
+        assert (payload["local_ext1_length"], payload["closed_form"], payload["beta"]) == (12, None, [1, 2, 3])
+
+    @pytest.mark.parametrize("gens", ["y", "x*y\ny^2"])
+    def test_ext_on_a_proper_subcurve_is_invalid_input(self, capsys, tmp_path, gens):
+        # (y) lives on C_2 only: its Ext^1 has infinite length
+        path = tmp_path / "subcurve.txt"
+        path.write_text(f"ring n=3 N=12 p=2\n{gens}\n")
+        assert main(["ext", str(path)]) == 1
+        assert "whole curve" in capsys.readouterr().err
+
 
 class TestArithmeticCommands:
     def test_stability(self, capsys):

@@ -1,11 +1,18 @@
+import numpy as np
 import pytest
 
 from helpers import ext1_n3_closed_form, ext1_special_closed_form
 
-from multicurve.errors import DomainError, MissingInput, ShapeError, UnsupportedConfig
+from multicurve.errors import (
+    DomainError,
+    MissingInput,
+    NotInvertibleError,
+    ShapeError,
+    UnsupportedConfig,
+    VerificationError,
+)
 from multicurve.ext import (
-    ResolutionData,
-    _n3_shape,
+    _check_complex,
     build_resolution,
     closed_form_ext1,
     global_ext1_dimension,
@@ -13,7 +20,15 @@ from multicurve.ext import (
 )
 from multicurve.invariants import CurveParams, genus
 from multicurve.moduli import LocalConfig, PointIndices, special_point
-from multicurve.modules import is_isomorphic_oracle, span_from_generators
+from multicurve.modules import (
+    divide_by_x_power,
+    dual_module_oracle,
+    flatten,
+    indices,
+    is_isomorphic_oracle,
+    span_from_generators,
+    unflatten,
+)
 from multicurve.normal_form import (
     ideal_from_indices,
     iter_normal_forms,
@@ -28,38 +43,92 @@ def mod(params, *texts):
     return span_from_generators([parse_elem(t, params) for t in texts])
 
 
+def elems(arr, par):
+    """Flat rows of A, in an array of any leading shape, as nested RingElem lists."""
+    if arr.ndim == 1:
+        return unflatten(arr, par, 1)[0]
+    return [elems(a, par) for a in arr]
+
+
+def ring_matmul(A, B, par):
+    """Product of RingElem matrices (lists of rows) by RingElem arithmetic."""
+    zero = RingElem.zero(par)
+    out = []
+    for row in A:
+        out.append([sum((row[k] * B[k][j] for k in range(len(B))), zero)
+                    for j in range(len(B[0]))])
+    return out
+
+
+def x_scaled_copy(M, t_text):
+    """(t / x^k) * M for the largest k such that x^k divides t * M: a copy of
+    M whose generators are neither its lattice rows nor x-reduced."""
+    par = M.params
+    t = parse_elem(t_text, par)
+    tM = span_from_generators([t * g[0] for g in M.gens], params=par)
+    rows = tM.num.rows().reshape(-1, par.n, par.N)
+    k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
+    return divide_by_x_power(tM, k)
+
+
 class TestBuildResolution:
     def test_ribbon_matrix_shape(self):
+        # (x^3, y): y*x^3 = x^3*y, so M1 = [[y, 0], [-x^3, y]] and adj(M1) = [[y, 0], [x^3, y]]
         par = RingParams(2, 16, 2)
         I = special_ideal(make_special_form(2, 3, 1), par)
-        res = build_resolution(I)
-        assert res.size == 2
-        assert res.M1[0][0] == parse_elem("y", par)
-        assert res.M1[0][1] == -parse_elem("x^3", par)
-        assert res.M1[1][1] == parse_elem("y", par)
-        assert res.f == (parse_elem("y", par), parse_elem("x^3", par))
+        f, M1, M2 = build_resolution(I)
+        assert f.shape == (2, 2 * 16) and M1.shape == M2.shape == (2, 2, 2 * 16)
+        y, x3, zero = (parse_elem(t, par) for t in ("y", "x^3", "0"))
+        assert elems(f, par) == [x3, y]
+        assert elems(M1, par) == [[y, zero], [-x3, y]]
+        assert elems(M2, par) == [[y, zero], [x3, y]]
 
     def test_jump_two_exponents(self):
+        # (x^2, y^2) at n = 3: generators at levels 0 and 2, gaps 2 and 1
         par = RingParams(3, 18, 2)
         I = special_ideal(make_special_form(3, 2, 2), par)
-        res = build_resolution(I)
-        assert res.M1[0][0] == parse_elem("y", par)    # y^(n-j) with j = 2
-        assert res.M1[1][1] == parse_elem("y^2", par)  # y^j
+        _, M1, M2 = build_resolution(I)
+        M1, M2 = elems(M1, par), elems(M2, par)
+        assert (M1[0][0], M1[1][1]) == (parse_elem("y^2", par), parse_elem("y", par))
+        assert (M2[0][0], M2[1][1]) == (parse_elem("y", par), parse_elem("y^2", par))
 
     def test_three_generator_resolution(self):
+        # y*(x^2 + y) = x*(x*y) + 1*y^2: the alpha slot of M1 is -1
         par = RingParams(3, 18, 2)
-        I = mod(par, "x^2+y", "x*y", "y^2")
-        res = build_resolution(I)
-        assert res.size == 3
-        # complex identities are re-checked on construction; spot the alpha slot
-        assert res.M1[0][2] == -parse_elem("1", par)
+        f, M1, _ = build_resolution(mod(par, "x^2+y", "x*y", "y^2"))
+        assert elems(f, par) == [parse_elem(t, par) for t in ("x^2+y", "x*y", "y^2")]
+        assert elems(M1, par)[2][0] == -parse_elem("1", par)
+
+    @pytest.mark.parametrize("n,beta,alpha,p", [
+        (2, (2,), {}, 3),
+        (3, (1, 3), {(3, 1): (1, 1)}, 2),
+        (4, (1, 2, 3), {}, 2),
+        (4, (1, 2, 3), {(3, 1): (1,), (4, 2): (1,)}, 3),
+        (4, (0, 1, 2), {(4, 1): (1,)}, 5),
+        (5, (0, 1, 1, 2), {(5, 3): (2,)}, 3),
+    ])
+    def test_matrix_factorization(self, n, beta, alpha, p):
+        # checked by RingElem arithmetic, not by the production product kernel
+        par = RingParams(n, required_precision(n, max(beta)), p)
+        I = ideal_from_indices(make_general_form(n, beta, alpha), par)
+        f, M1, M2 = (elems(a, par) for a in build_resolution(I))
+        r, zero = len(f), RingElem.zero(par)
+        assert r == 1 + sum(1 for a, b in zip((0,) + beta, beta) if b > a)
+        assert span_from_generators(f, params=par) == I
+        for prod in (ring_matmul([f], M1, par), ring_matmul(M1, M2, par), ring_matmul(M2, M1, par)):
+            assert all(e.is_zero() for row in prod for e in row)
+        # M1 is lower triangular with diagonal y^(d_i), sum d_i = n, so det M1 = y^n
+        assert all(M1[i][k] == zero for i in range(r) for k in range(i + 1, r))
+        d = [M1[i][i].y_valuation() for i in range(r)]
+        assert [M1[i][i] for i in range(r)] == [RingElem.monomial(par, 1, 0, e) for e in d]
+        assert sum(d) == n
 
     def test_complex_property_enforced(self):
         par = RingParams(2, 12, 2)
-        y = parse_elem("y", par)
-        one = RingElem.one(par)
-        with pytest.raises(ShapeError):
-            ResolutionData((y, one), ((y, one), (y, y)), ((y, y), (y, y)))
+        y, one = (flatten(parse_elem(t, par), par, 1) for t in ("y", "1"))
+        f = np.array([y, one])
+        with pytest.raises(VerificationError):
+            _check_complex(f, np.array([[y, one], [y, y]]), np.array([[y, y], [y, y]]), par)
 
     def test_free_module_rejected(self):
         par = RingParams(3, 18, 2)
@@ -76,11 +145,15 @@ class TestBuildResolution:
         with pytest.raises(DomainError):
             local_ext1_length(M)
 
-    def test_multi_jump_needs_multiplicity_three(self):
-        par = RingParams(4, required_precision(4, 3), 2)
-        I = ideal_from_indices(make_general_form(4, (1, 2, 3)), par)
-        with pytest.raises(ShapeError):
-            build_resolution(I)
+    @pytest.mark.parametrize("gens", [("y",), ("x*y", "y^2")])
+    def test_proper_subcurve_rejected(self, gens):
+        # (y) lives on C_2 only and its Ext^1 has infinite length; it used to pass
+        # as a free module and report 0
+        par = RingParams(3, 12, 2)
+        with pytest.raises(NotInvertibleError):
+            build_resolution(mod(par, *gens))
+        with pytest.raises(NotInvertibleError):
+            local_ext1_length(mod(par, *gens))
 
 
 class TestLocalExtLength:
@@ -96,6 +169,12 @@ class TestLocalExtLength:
         assert local_ext1_length(mod(par, "x^2+y", "x*y", "y^2")) == 6
         for b in (1, 2):
             assert local_ext1_length(mod(par, f"x^{b}", "y^2")) == 2 * b
+
+    def test_multi_jump_beyond_multiplicity_three(self):
+        # no closed form: the monomial (1, 2, 3) stalk at n = 4
+        par = RingParams(4, required_precision(4, 3), 2)
+        I = ideal_from_indices(make_general_form(4, (1, 2, 3)), par)
+        assert local_ext1_length(I) == 12
 
     def test_free_module(self):
         par = RingParams(3, 18, 2)
@@ -116,6 +195,36 @@ class TestLocalExtLength:
         b = mod(par, "x^3", "x^2*y", "x*y^2")  # shifted embedding of the same class
         assert is_isomorphic_oracle(a, b) == "yes"
         assert local_ext1_length(a) == local_ext1_length(b)
+
+    def test_copy_whose_lead_is_not_x_reduced(self):
+        # (x^2 + y, x*y) = ((x^2 + y) / x) * (x, y) at n = 2; it used to be
+        # refused as "not divisible by x^1"
+        par = RingParams(2, 8, 2)
+        I = mod(par, "x^2+y", "x*y")
+        assert is_isomorphic_oracle(I, mod(par, "x", "y")) == "yes"
+        assert local_ext1_length(I) == 2
+
+    @pytest.mark.parametrize("t", ["x^2+y", "x^2+x*y+y^2", "x^3+y"])
+    def test_invariance_under_scaled_copies(self, t):
+        # (t / x^k) * M is isomorphic to M; most of these copies used to be refused
+        cases = [(3, (1, 2), {}, 2), (3, (1, 3), {(3, 1): (0, 1)}, 3), (4, (0, 1, 1), {}, 2),
+                 (4, (1, 1, 1), {}, 3), (4, (1, 2, 2), {(4, 2): (1,)}, 2)]
+        for n, beta, alpha, p in cases:
+            par = RingParams(n, required_precision(n, max(beta)), p)
+            M = ideal_from_indices(make_general_form(n, beta, alpha), par)
+            copy = x_scaled_copy(M, t)
+            assert indices(copy) == beta
+            assert local_ext1_length(copy) == local_ext1_length(M)
+
+    def test_dual_has_the_same_length(self):
+        # Hom(-, R) is an exact duality on maximal Cohen-Macaulay modules over the
+        # Gorenstein ring R, so Ext^1(I, I) and Ext^1(I*, I*) have equal length
+        for n, top, p, step in ((3, 2, 3, 1), (4, 2, 2, 2), (5, 1, 3, 3)):
+            par = RingParams(n, required_precision(n, top), p)
+            forms = [f for f in iter_normal_forms(n, top, p) if any(f.beta)]
+            for form in forms[::step]:
+                I = ideal_from_indices(form, par)
+                assert local_ext1_length(dual_module_oracle(I)) == local_ext1_length(I), form
 
     def test_closed_form_dispatch(self):
         assert closed_form_ext1(4, (0, 0, 0)) == 0
@@ -162,16 +271,18 @@ class TestGlobalExt:
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_n3_reduced_alpha_is_an_isomorphism_key(p):
-    # every n = 3 normal form with b2 <= 3, bucketed by beta and by the reduced
-    # (b1, b2, alpha) of `_n3_shape`: each form is isomorphic to the first of
-    # its key class, and the first forms of distinct classes are not, so by
+    # every n = 3 normal form with b2 <= 3, bucketed by beta and by alpha_(3,1)
+    # cut to min(b1, b2 - b1) coefficients: each form is isomorphic to the first
+    # of its key class, and the first forms of distinct classes are not, so by
     # transitivity the key and the oracle agree on every same-beta pair
     par = RingParams(3, required_precision(3, 3), p)
     buckets = {}
     for form in iter_normal_forms(3, 3, p):
+        b1, b2 = form.beta
+        cut = min(b1, b2 - b1)
+        key = tuple(dict(form.alpha).get((3, 1), (0,) * cut)[:cut])
         I = ideal_from_indices(form, par)
-        alpha, b1, b2 = _n3_shape(I, form.beta)
-        buckets.setdefault(form.beta, {}).setdefault((b1, b2, alpha.level(0)), []).append(I)
+        buckets.setdefault(form.beta, {}).setdefault(key, []).append(I)
     assert any(len(classes) > 1 for classes in buckets.values())
     for classes in buckets.values():
         firsts = [members[0] for members in classes.values()]
