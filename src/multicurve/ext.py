@@ -26,8 +26,9 @@ and gives a 2-periodic resolution over R = S/(y^n) (Eisenbud 1980,
 "Homological algebra on a complete intersection").  The identities
 f.M1 = M1.M2 = M2.M1 = 0 are checked exactly on construction.
 
-For a single-jump stalk (x^b + alpha*y, y^j) this is r = 2, and for an
-n = 3 two-jump stalk r = 3.  Ext^1(I, I) is the homology ker(.M2)/im(.M1)
+For a free stalk this is r = 1, M1 = (y^n) = 0 and M2 = (1); for a
+single-jump stalk (x^b + alpha*y, y^j) it is r = 2, and for an n = 3
+two-jump stalk r = 3.  Ext^1(I, I) is the homology ker(.M2)/im(.M1)
 of the induced maps on Hom(A^r, I) = I^r, certified at N and N+2 and
 checked against the closed form 2*min(j, n-j)*b, respectively
 2*b2 + 2*min(b1, b2 - b1), wherever one applies.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import MissingInput, ShapeError, UnsupportedConfig, VerificationError
+from .errors import MissingInput, UnsupportedConfig, VerificationError
 from .invariants import CurveParams
 from .moduli import LocalConfig, PointIndices, _tangent_term, tangent_dimension
 from .modules import (
@@ -73,15 +74,14 @@ def _check_complex(f: np.ndarray, M1: np.ndarray, M2: np.ndarray, params: RingPa
 
 
 def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, M1, M2) of the periodic resolution of a non-free stalk on the whole
-    curve, as flat rows of A of shapes (r, n*N), (r, r, n*N) and (r, r, n*N);
-    the complex identities are checked exactly."""
+    """(f, M1, M2) of the periodic resolution of a stalk on the whole curve,
+    as flat rows of A of shapes (r, n*N), (r, r, n*N) and (r, r, n*N); a
+    free stalk gives (f_0, [[y^n]] = 0, [[1]]).  The complex identities are
+    checked exactly."""
     _require_full_invertible(I, "build_resolution")
     par = I.params
     n, N, p = par.n, par.N, par.p
     v = _valuations(I)
-    if v[0] == v[-1]:
-        raise ShapeError("free module: nothing to resolve")
     gens = [0] + [l for l in range(1, n) if v[l] < v[l - 1]]
     ends = gens[1:] + [n]
     r = len(gens)

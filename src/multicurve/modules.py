@@ -46,13 +46,13 @@ The graded pieces of a submodule of A, hence its indices, are read off its
 lattice valuations (`_valuations`); `indices_by_definition` recomputes the
 indices from the filtrations.  In ambient rank >= 2 they raise DomainError.
 
-Both Hom computations are transporters ("colons") built by `_colon`: the
-dual Hom(M, A) = (sA : M), and the isomorphism oracle's Hom(M, M') =
-(uM' : M).  Truncation at x^N makes a colon exact once x^N R lies in the
-target, R the untruncated ring: sR has colength n*v for s = x^v + y*h,
-so the dual is computed at precision max(N, n*v) (`_dual_rows_at`), and
-the oracle's uM' has colength at most n*(v + v') (`_iso_single`).  The oracle
-tests the rows of a basis of Hom(M, M') for surjectivity, with no search.
+The isomorphism oracle's Hom(M, M') is a transporter ("colon"), built by
+`_colon`: (uM' : M), u the first lattice row of M.  Truncation at x^N makes
+it exact once x^N R lies in uM', R the untruncated ring, whose colength is
+at most n*(v + v') (`_iso_single`).  The oracle tests the rows of a basis
+of Hom(M, M') for surjectivity, with no search.  The dual Hom(M, A) needs
+no colon: it is spanned by a column of the matrix factorization that
+`ext.build_resolution` reads off M (`dual_module_oracle`).
 Every elimination, those rank tests included, goes through `linalg`.
 """
 
@@ -461,20 +461,6 @@ def _generator_rows(M: ModuleRep) -> np.ndarray:
                     dtype=np.int64).reshape(-1, M.width)
 
 
-def _min_valuation_element(M: ModuleRep) -> tuple[np.ndarray, int]:
-    """Basis element whose y-degree-0 part has minimal x-valuation.
-
-    In the RREF with level-0 coordinates first, that is the first row,
-    provided its pivot sits inside level 0.
-    """
-    if M.ambient_rank != 1:
-        raise DomainError("nonzerodivisor search requires ambient rank 1")
-    pivs = M.num.pivots
-    if not pivs or pivs[0] >= M.params.N:
-        raise NotInvertibleError("module has no nonzerodivisor (zero y-degree-0 part)")
-    return M.num.rows()[0], int(pivs[0])
-
-
 # -- dual oracle ---------------------------------------------------------
 
 
@@ -502,41 +488,41 @@ def _colon(target: linalg.Subspace, M: ModuleRep) -> np.ndarray:
     return linalg.nullspace(np.vstack(blocks), par.p)
 
 
-def _dual_rows_at(M: ModuleRep, N_target: int) -> linalg.Subspace:
-    """Dual of M realized inside A at precision N_target, exactly.
-
-    Hom(M, A) = (sA : M) via evaluation at s, the first RREF row of M: a
-    nonzerodivisor x^v + y*h of minimal valuation v (`_presentation_lead`
-    in `normal_form` has the argument).  In R = F_p[[x]][y]/(y^n), free over
-    F_p[[x]] with basis 1, y, ..., y^(n-1), multiplication by s is
-    triangular with determinant x^(n*v), so R/sR has length n*v and
-    x^(n*v) R <= sR.  At any precision W >= n*v, t*g therefore lies in
-    sR + x^W R exactly when it lies in sR, and the colon computed at W is
-    the image of (sR : M).  It is computed at W = max(N_target, n*v), which
-    is N_target for a normal form at N_min (v <= beta_(n-1)), and truncated
-    to N_target.
-    """
-    n = M.params.n
-    work = M.params.with_precision(max(N_target, n * _min_valuation_element(M)[1]))
-    M2 = lift_module(M, work.N)
-    s_row, _ = _min_valuation_element(M2)
-    sol = _colon(_close_rows(s_row.reshape(1, -1), work, 1), M2)
-    # truncation is a ring map, so the image of the colon ideal is an ideal
-    sol = sol.reshape(-1, n, work.N)[..., :N_target].reshape(len(sol), n * N_target)
-    return linalg.span(sol, work.p, n * N_target)
-
-
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:
-    """The module of A-linear maps M -> A, realized as a submodule of A.
+    """The module of A-linear maps M -> A, realized as a submodule of A: the
+    ideal spanned by column 0 of M2 in the matrix factorization (f, M1, M2)
+    of `ext.build_resolution`.
 
-    Certified: the realization is computed independently at N and N+2 and
-    the two index vectors must agree.
+    Why: phi -> phi(f_0) identifies Hom(M, R) with (f_0 R : M), f_0 the first
+    lattice row, a nonzerodivisor x^v + y*h of minimal valuation v.  A map
+    is its values u = (phi(f_i)), and Hom(M, R) = {u : u.M1 = 0}.  Over
+    S = F_p[[x]][y], u.M1 = y^n w = w.M2.M1, and M1 is injective (det M1 =
+    y^n != 0 in a domain), so u = w.M2: phi(f_0) runs over the ideal spanned
+    by column 0 of M2, which lies in A.
+
+    Precision: multiplication by f_0 on R, free over F_p[[x]] with basis
+    1, y, ..., y^(n-1), is triangular with determinant x^(n*v), so R/f_0 R
+    has length n*v and x^(n*v) R <= f_0 R <= (f_0 R : M): the dual is the
+    preimage of its image mod x^W for every W >= n*v.  The factorization is
+    read off M lifted to W = max(N, n*v), the precision at which the colon
+    (f_0 R : M) is exact, and its column is truncated to N; W is N for a
+    normal form at N_min (v <= beta_(n-1)).  Read at N < n*v instead, the
+    column of (x^4 + y, y^2) at n = 3, N = 5, p = 3 spans a dual with indices
+    (3, 4), not (4, 4).  Computed independently at N and N+2, whose index
+    vectors must agree.
     """
+    from .ext import build_resolution  # ext imports modules
     _require_full_invertible(M, "dual_module_oracle")
-    return _certified(
-        M.params.N,
-        lambda N: ModuleRep(M.params.with_precision(N), 1, _dual_rows_at(M, N)),
-        key=_indices_single)
+    n, v = M.params.n, _valuations(M)[0]
+
+    def dual_at(N: int) -> ModuleRep:
+        par = M.params.with_precision(N)
+        col = build_resolution(lift_module(M, max(N, n * v)))[2][:, 0]
+        # truncation is a ring map, so the truncated column spans the image
+        rows = col.reshape(len(col), n, -1)[..., :N].reshape(len(col), n * N)
+        return ModuleRep(par, 1, _close_rows(rows, par, 1))
+
+    return _certified(M.params.N, dual_at, key=_indices_single)
 
 
 # -- isomorphism oracle ---------------------------------------------------
@@ -548,7 +534,8 @@ def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int) -> str:
     B = lift_module(Mp, N_target)
     p, L = par.p, par.n * par.N
 
-    u_row, _ = _min_valuation_element(A)
+    # u, the first RREF row, has its pivot at level 0 (`_require_full_invertible`)
+    u_row = A.num.rows()[0]
     W = linalg.span(_mul_rows(u_row, B.num.rows(), par, 1), p, L)
     Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0),
                                 _shift(W.rows(), par, 1, 0, 1)]), p, L)

@@ -24,10 +24,10 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError, EnumerationLimit, ParameterMismatch, PrecisionError, ShapeError
+from .ext import build_resolution
 from .invariants import validate_indices
 from .modules import (
     ModuleRep,
-    divide_by_x_power,
     indices,
     is_isomorphic_oracle,
     span_from_generators,
@@ -223,36 +223,22 @@ def special_ideal(nf: SpecialNormalForm, params: RingParams) -> ModuleRep:
 # -- normalizer ----------------------------------------------------------
 
 
-def _presentation_lead(M: ModuleRep, b: int, fixed) -> RingElem:
-    """The lead e of a presentation x^(-s) M = (e, *fixed), or ShapeError.
-
-    s brings the leading y-degree-0 valuation of M down to b, and e is the
-    first RREF row of x^(-s) M, which is already reduced: every y^h e lies in
-    the module and leads at x-degree b of level h, so each level's pivots run
-    from x-degree b or lower to the end of its block, and the RREF clears
-    them all from e.  Hence e is x^b plus y-terms of x-degree below b.
-    x^(-s) M must contain every fixed generator and be spanned by e and them.
-    """
-    params = M.params
-    piv = M.num.pivots
-    if not piv or piv[0] >= params.N:
-        raise ShapeError("module has no nonzerodivisor")
-    if piv[0] < b:
-        raise ShapeError(f"leading y-degree-0 valuation {piv[0]} is below the index value {b}")
-    M = divide_by_x_power(M, piv[0] - b)
-    e = unflatten(M.num.rows()[0], params, 1)[0]
-    missing = [format_elem(g) for g in fixed if not M.contains(g)]
-    if missing:
-        raise ShapeError(f"module does not contain {' and '.join(missing)}")
-    if span_from_generators([e, *fixed], params=params).num != M.num:
-        raise ShapeError(f"module is not generated by ({', '.join(map(format_elem, [e, *fixed]))})")
-    return e
-
-
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
-    """Unique (b, j, z) of a single-jump module, x^(-s) M = (e, y^j): z_h is
-    the y^h-coefficient of the reduced lead e from `_presentation_lead`,
-    whose x-degree is already below b, for h = 1..jbar."""
+    """Unique (b, j, z) of a single-jump module M, read off J = (a, y^j),
+    where a = -M1[1, 0] in the matrix factorization (f, M1, M2) of
+    `ext.build_resolution`: y^j f_0 = a f_1, and a leads with x^b, as
+    y^j f_0 and f_1 lead at level j with x^(v_0) and x^(v_0 - b).
+
+    J ~ M, with no x-division: a and y^j satisfy the columns of M1
+    (y^j a - a y^j = 0 and y^n = 0), so they map coker(M1) = M onto J, and
+    the images of the F_p[[x]]-basis y^t e_i of coker(M1), y^t a (t < j) and
+    y^t (j <= t < n), lead with x^b y^t, resp. y^t, like J's Hermite basis
+    (the argument in `ext`): the map is an isomorphism, and J leads with
+    x^b.  Its first RREF row e is then x^b plus y-terms of x-degree below b:
+    each level's pivots run from x-degree b or lower to the end of its
+    block, and the RREF clears them all from e.  z_h is the y^h-coefficient
+    of e, for h = 1..jbar.
+    """
     if M.ambient_rank != 1:
         raise ShapeError("normalize_special expects a plain submodule of A")
     params = M.params
@@ -261,7 +247,9 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     if len(beta) != n - 1:
         raise ShapeError(f"module is supported on a proper subcurve (indices {beta})")
     j, b = jump_position(beta)
-    e = _presentation_lead(M, b, [RingElem.monomial(params, 1, 0, j)])
+    a = unflatten(-build_resolution(M)[1][1, 0] % params.p, params, 1)[0]
+    J = span_from_generators([a, RingElem.monomial(params, 1, 0, j)])
+    e = unflatten(J.num.rows()[0], params, 1)[0]
     return SpecialNormalForm(n, b, j, tuple(e.level(h)[:b] for h in range(1, jbar(n, j) + 1)))
 
 

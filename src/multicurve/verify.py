@@ -91,13 +91,17 @@ def suite_duality(seed: int) -> tuple[int, list[str]]:
                 rhs = tuple(dual[i - 1] - dual[i - j - 1] for j in range(1, i))
                 if lhs != rhs:
                     failures.append(f"sub/dual compatibility beta={beta} i={i}")
-    for n in (2, 3):
-        params = RingParams(n, required_precision(n, 2), 2)
-        for form in nf.iter_normal_forms(n, 2, 2):
+    for n, top in ((2, 2), (3, 2), (4, 1)):
+        params = RingParams(n, required_precision(n, top), 2)
+        for form in nf.iter_normal_forms(n, top, 2):
             I = nf.ideal_from_indices(form, params)
-            checks += 1
-            if md.indices(md.dual_module_oracle(I)) != dual_indices(form.beta):
+            dual = md.dual_module_oracle(I)
+            checks += 2
+            if md.indices(dual) != dual_indices(form.beta):
                 failures.append(f"dual oracle n={n} form={form}")
+            # maximal Cohen-Macaulay modules over the Gorenstein ring R are reflexive
+            if md.is_isomorphic_oracle(I, md.dual_module_oracle(dual)) != "yes":
+                failures.append(f"double dual n={n} form={form}")
     return checks, failures
 
 

@@ -3,10 +3,14 @@
 These deliberately avoid the production code paths: spans are computed by
 multiplying generators with every monomial through RingElem arithmetic (or,
 for flat rows, by moving their coordinates) and row-reducing with a
-self-contained pure-Python elimination.
+self-contained pure-Python elimination.  `x_scaled_copy` is the one
+builder here: it makes isomorphic copies through the production span.
 """
 
-from multicurve.ring import RingElem, RingParams
+import numpy as np
+
+from multicurve.modules import divide_by_x_power, span_from_generators
+from multicurve.ring import RingElem, RingParams, parse_elem
 
 
 def _row_reduce_dim(rows, p):
@@ -107,3 +111,14 @@ def ext1_special_closed_form(n, jump, b):
 
 def ext1_n3_closed_form(b1, b2):
     return 2 * b2 + 2 * min(b1, b2 - b1)
+
+
+def x_scaled_copy(M, t_text):
+    """(t / x^k) * M for the largest k such that x^k divides t * M: a copy of
+    M whose generators are neither its lattice rows nor x-reduced."""
+    par = M.params
+    t = parse_elem(t_text, par)
+    tM = span_from_generators([t * g[0] for g in M.gens], params=par)
+    rows = tM.num.rows().reshape(-1, par.n, par.N)
+    k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
+    return divide_by_x_power(tM, k)

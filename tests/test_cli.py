@@ -106,6 +106,15 @@ class TestOracleCommands:
         assert code == 0
         assert (payload["b"], payload["j"], payload["z"]) == (2, 2, [])
 
+    def test_normalize_a_copy_whose_lead_is_not_x_reduced(self, capsys, tmp_path):
+        # ((x^2 + y) / x) * (x, y): it used to exit 1 with "module is not
+        # divisible by x^1"; its normal form is that of (x, y)
+        path = tmp_path / "copy.txt"
+        path.write_text("ring n=2 N=8 p=2 rank=1\nx^2 + y\nx*y\n")
+        code, payload = run_json(capsys, ["normalize", str(path)])
+        assert code == 0
+        assert (payload["n"], payload["b"], payload["j"], payload["z"]) == (2, 1, 1, [])
+
     def test_normalize_on_a_proper_subcurve_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "subcurve.txt"
         path.write_text("ring n=3 N=18 p=2 rank=1\ny^2\n")

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import ext1_n3_closed_form, ext1_special_closed_form
+from helpers import ext1_n3_closed_form, ext1_special_closed_form, x_scaled_copy
 
 from multicurve.errors import (
     DomainError,
     MissingInput,
     NotInvertibleError,
-    ShapeError,
     UnsupportedConfig,
     VerificationError,
 )
@@ -18,10 +17,9 @@ from multicurve.ext import (
     global_ext1_dimension,
     local_ext1_length,
 )
-from multicurve.invariants import CurveParams, genus
+from multicurve.invariants import CurveParams, dual_indices, genus
 from multicurve.moduli import LocalConfig, PointIndices, special_point
 from multicurve.modules import (
-    divide_by_x_power,
     dual_module_oracle,
     flatten,
     indices,
@@ -34,6 +32,7 @@ from multicurve.normal_form import (
     iter_normal_forms,
     make_general_form,
     make_special_form,
+    normalize_special,
     special_ideal,
 )
 from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
@@ -58,17 +57,6 @@ def ring_matmul(A, B, par):
         out.append([sum((row[k] * B[k][j] for k in range(len(B))), zero)
                     for j in range(len(B[0]))])
     return out
-
-
-def x_scaled_copy(M, t_text):
-    """(t / x^k) * M for the largest k such that x^k divides t * M: a copy of
-    M whose generators are neither its lattice rows nor x-reduced."""
-    par = M.params
-    t = parse_elem(t_text, par)
-    tM = span_from_generators([t * g[0] for g in M.gens], params=par)
-    rows = tM.num.rows().reshape(-1, par.n, par.N)
-    k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
-    return divide_by_x_power(tM, k)
 
 
 class TestBuildResolution:
@@ -130,10 +118,14 @@ class TestBuildResolution:
         with pytest.raises(VerificationError):
             _check_complex(f, np.array([[y, one], [y, y]]), np.array([[y, y], [y, y]]), par)
 
-    def test_free_module_rejected(self):
+    def test_free_module_has_the_trivial_factorization(self):
+        # r = 1, M1 = (y^n) = 0 and M2 = (1): the dual of a free stalk is A
         par = RingParams(3, 18, 2)
-        with pytest.raises(ShapeError):
-            build_resolution(mod(par, "1"))
+        I = mod(par, "x^2 + y")
+        f, M1, M2 = build_resolution(I)
+        assert span_from_generators(elems(f, par), params=par) == I
+        assert elems(M1, par) == [[RingElem.zero(par)]]
+        assert elems(M2, par) == [[RingElem.one(par)]]
 
     def test_rank_two_rejected(self):
         # x, y and y^2, 0 span a submodule of A^2 (isomorphic to (x, y^2))
@@ -206,7 +198,8 @@ class TestLocalExtLength:
 
     @pytest.mark.parametrize("t", ["x^2+y", "x^2+x*y+y^2", "x^3+y"])
     def test_invariance_under_scaled_copies(self, t):
-        # (t / x^k) * M is isomorphic to M; most of these copies used to be refused
+        # (t / x^k) * M is isomorphic to M; most of these copies used to be
+        # refused, by Ext^1 and, for single-jump M, by the normalizer
         cases = [(3, (1, 2), {}, 2), (3, (1, 3), {(3, 1): (0, 1)}, 3), (4, (0, 1, 1), {}, 2),
                  (4, (1, 1, 1), {}, 3), (4, (1, 2, 2), {(4, 2): (1,)}, 2)]
         for n, beta, alpha, p in cases:
@@ -215,6 +208,9 @@ class TestLocalExtLength:
             copy = x_scaled_copy(M, t)
             assert indices(copy) == beta
             assert local_ext1_length(copy) == local_ext1_length(M)
+            if PointIndices(beta).special:
+                assert normalize_special(copy) == normalize_special(M)
+                assert indices(dual_module_oracle(copy)) == dual_indices(beta)
 
     def test_dual_has_the_same_length(self):
         # Hom(-, R) is an exact duality on maximal Cohen-Macaulay modules over the

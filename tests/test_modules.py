@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_span_dim
+from helpers import naive_span_dim, x_scaled_copy
 
 from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError
@@ -10,8 +10,6 @@ from multicurve.modules import (
     ModuleRep,
     _close_rows,
     _colon,
-    _dual_rows_at,
-    _min_valuation_element,
     _mul_rows,
     dual_module_oracle,
     first_filtration,
@@ -372,10 +370,12 @@ class TestDualOracle:
         assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
 
     def test_colon_lifted_to_colength(self):
-        # s = x^3 + y at n = 4 has colength n*v = 12 > N = 9: the colon is
-        # exact only from precision 12 on
-        par = RingParams(4, 9, 3)
-        assert indices(dual_module_oracle(mod(par, "x^3 + y", "y^2"))) == (0, 3, 3)
+        # s = x^v + y has colength n*v > N (12 > 9, 12 > 5): the factorization
+        # is read at precision n*v; read at N, the second dual comes out (3, 4)
+        for n, N, gens, dual in ((4, 9, ("x^3 + y", "y^2"), (0, 3, 3)),
+                                 (3, 5, ("x^4 + y", "y^2"), (4, 4))):
+            par = RingParams(n, N, 3)
+            assert indices(dual_module_oracle(mod(par, *gens))) == dual
 
     def test_double_dual_isomorphic(self):
         for texts in (("x^2", "x*y", "y^2"), ("x^2+y", "x*y", "y^2"), ("x", "y^2")):
@@ -389,14 +389,15 @@ def _dual_rows_by_doubling(M, N):
     is exact whenever 2N >= n*v."""
     work = M.params.with_precision(2 * N)
     M2 = lift_module(M, work.N)
-    sol = _colon(_close_rows(_min_valuation_element(M2)[0].reshape(1, -1), work, 1), M2)
+    sol = _colon(_close_rows(M2.num.rows()[:1], work, 1), M2)
     sol = sol.reshape(-1, work.n, work.N)[..., :N].reshape(len(sol), -1)
     return linalg.span(sol, work.p, work.n * N)
 
 
 @st.composite
 def special_stalks(draw):
-    """A single-jump stalk at N_min, as built, times x, or without generators."""
+    """A single-jump stalk at N_min, as built, times x, x-scaled, or without
+    generators."""
     n, b = draw(st.integers(2, 5)), draw(st.integers(1, 2))
     j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3]))
     rows = min(j, n - j) - 1
@@ -404,7 +405,9 @@ def special_stalks(draw):
                       min_size=rows, max_size=rows))
     par = RingParams(n, required_precision(n, b), p)
     M = special_ideal(make_special_form(n, b, j, z), par)
-    kind = draw(st.sampled_from(["built", "shifted", "bare"]))
+    kind = draw(st.sampled_from(["built", "shifted", "scaled", "bare"]))
+    if kind == "scaled":
+        return x_scaled_copy(M, draw(st.sampled_from(["x^2+y", "x^3+y"])))
     if kind == "shifted":
         x = parse_elem("x", par)
         return span_from_generators([x * g[0] for g in M.gens], params=par)
@@ -414,10 +417,10 @@ def special_stalks(draw):
 @settings(max_examples=30, deadline=None)
 @given(special_stalks())
 def test_dual_precision_rule_matches_doubling(M):
-    # both colons are exact here (2N >= n*v), so the precision max(N, n*v)
-    # must give the same space
+    # the colon at 2N is exact here (2N >= n*v), and the column of the
+    # factorization read at max(N, n*v) must span the same space
     for N in (M.params.N, M.params.N + 2):
-        assert _dual_rows_at(M, N) == _dual_rows_by_doubling(M, N)
+        assert dual_module_oracle(lift_module(M, N)).num == _dual_rows_by_doubling(M, N)
 
 
 class TestIsomorphismOracle:
@@ -450,7 +453,7 @@ class TestIsomorphismOracle:
         par = RingParams(4, required_precision(4, 1), 3)
         a, b = mod(par, "x + y", "y^2"), mod(par, "x + 2*y", "y^2")
         for M, Mp in ((a, b), (b, a), (mod(par, "x^2 + x*y", "x*y^2"), a)):
-            u = _min_valuation_element(M)[0]
+            u = M.num.rows()[0]
             W = linalg.span(_mul_rows(u, Mp.num.rows(), par, 1), par.p, M.width)
             T = _colon(W, M)
             assert T.shape[0] and not Mp.num.reduce(T).any()

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicurve.errors import DomainError, EnumerationLimit, PrecisionError, ShapeError
-from multicurve.modules import indices, is_isomorphic_oracle, span_from_generators
+from multicurve.ext import build_resolution
+from multicurve.modules import indices, is_isomorphic_oracle, span_from_generators, unflatten
 from multicurve.normal_form import (
     EnumeratedModule,
     GeneralNormalForm,
     SpecialNormalForm,
-    _presentation_lead,
     enumerate_invertible_modules,
     general_form_from_json,
     ideal_from_indices,
@@ -153,12 +153,17 @@ def disguised_stalks(draw):
 @settings(max_examples=40, deadline=None)
 @given(disguised_stalks())
 def test_normal_form_is_the_first_rref_row(case):
-    # the lead of x^(-s) M is its first RREF row: x^b on level 0 and x-degree
-    # below b on every other level, so z is read off it with no elimination
+    # J = (a, y^j), a = -M1[1, 0] of the factorization, is isomorphic to M and
+    # leads with x^b: its first RREF row is x^b on level 0 and x-degree below
+    # b on every other level, so z is read off it with no elimination
     form, M = case
     assert normalize_special(M) == form
-    lead = _presentation_lead(M, form.b, [RingElem.monomial(M.params, 1, 0, form.j)])
-    assert lead.level(0) == RingElem.monomial(M.params, 1, form.b, 0).level(0)
+    par = M.params
+    a = unflatten(-build_resolution(M)[1][1, 0] % par.p, par, 1)[0]
+    J = span_from_generators([a, RingElem.monomial(par, 1, 0, form.j)])
+    assert is_isomorphic_oracle(J, M) == "yes"
+    lead = unflatten(J.num.rows()[0], par, 1)[0]
+    assert lead.level(0) == RingElem.monomial(par, 1, form.b, 0).level(0)
     assert not any(any(lead.level(h)[form.b:]) for h in range(1, form.n))
 
 
