@@ -26,7 +26,7 @@ from .invariants import CurveParams
 from .stability import check_stability, jh_filtration
 
 OK, INVALID_INPUT, VERIFICATION_FAILURE = 0, 1, 2
-SUITE_NAMES = ("ring", "indices", "duality", "stability", "ext", "moduli")  # the keys of verify.SUITES
+SUITE_NAMES = ("ring", "indices", "duality", "stability", "ext", "moduli", "iso")  # the keys of verify.SUITES
 POINT_FLAGS = ("monomial", "dual_monomial")
 
 

@@ -1,9 +1,11 @@
 """Exact linear algebra over a prime field F_p, backed by int64 numpy arrays.
 
-Everything here derives from one Gauss-Jordan routine, `_rref`: `Subspace`
-keeps its basis in the reduced row echelon form that `_rref` returns (or
-that `from_rref` is handed), and `nullspace` and `rank` read their answers
-off it.
+Everything over F_p derives from one Gauss-Jordan routine, `_rref`:
+`Subspace` keeps its basis in the reduced row echelon form that `_rref`
+returns (or that `from_rref` is handed), and `nullspace` and `rank` read
+their answers off it.  Over F_p[x]/(x^K) there is one routine too,
+`poly_eliminate` (minimal-valuation pivoting; its docstring has its own
+exactness argument).
 
 Exactness: all matrices hold residues in [0, p), and p < 2^16 (RingParams
 enforces it).  The largest intermediate value is an accumulated product of
@@ -219,3 +221,76 @@ def echelon(mat, p: int) -> np.ndarray:
 
 def rank(mat, p: int) -> int:
     return _rref(mat, p)[1].size
+
+
+# -- matrices over F_p[x]/(x^K) ---------------------------------------------
+
+
+def _poly_mul(q: np.ndarray, rows: np.ndarray, K: int) -> np.ndarray:
+    """The products q[s] * rows[c] of polynomials, truncated at x^K, not
+    reduced mod p: (s, L) and (c, K) arrays of coefficients give (s, c, K).
+    Each entry is a sum of at most L products below 2^32."""
+    out = np.zeros((q.shape[0],) + rows.shape, dtype=np.int64)
+    for d in np.flatnonzero(q.any(axis=0)):
+        out[:, :, d:] += q[:, d, None, None] * rows[None, :, : K - d]
+    return out
+
+
+def _series_inverse(w: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of the unit w (w[0] != 0) in F_p[x]/(x^len(w))."""
+    inv = np.zeros(len(w), dtype=np.int64)
+    inv[0] = mod_inv(w[0], p)
+    if w[1:].any():
+        for t in range(1, len(w)):
+            inv[t] = (-inv[0] * ((w[1 : t + 1] @ inv[t - 1 :: -1]) % p)) % p
+    return inv
+
+
+def poly_eliminate(mat, p: int, K: int) -> tuple[np.ndarray, list[int]]:
+    """Minimal-valuation elimination of a matrix over F_p[x]/(x^K).
+
+    mat has shape (R, C, K): entry (i, j) is sum_a mat[i, j, a] x^a.  Each
+    step takes an entry x^e * w (w a unit) of least valuation e among the
+    rows and columns not yet used, and clears its column in the other
+    unused rows: row i' -= q * row i, q = (mat[i', j] / x^e) * w^(-1) mod
+    x^(K - e), which is exact since every unused entry has valuation >= e.
+    The same operations act on the identity, so the tracked transform U
+    keeps U.mat = (the reduced matrix) mod x^K.  The steps end when every
+    unused entry vanishes mod x^K.
+
+    Returns (kernel, valuations): the rows of U whose image vanishes mod
+    x^K, shape (z, R, K), and the pivot valuations in the order taken.
+    They never decrease, and they are the valuations of the Smith invariants of
+    mat mod x^K.  So if mat has rank R - z over F_p((x)) and its invariants
+    have valuation below K, the kernel rows are a basis of the saturated
+    kernel modulo x^(K - max valuation), in particular modulo x.
+
+    Exactness: entries stay residues in [0, p), p < 2^16, between steps; a
+    product of two polynomials truncated at x^K sums at most K products
+    below 2^32, exact in int64 for K < 2^31.
+    """
+    a = np.asarray(mat, dtype=np.int64) % p
+    R, C = a.shape[:2]
+    eye = np.zeros((R, R, K), dtype=np.int64)
+    eye[np.arange(R), np.arange(R), 0] = 1
+    aug = np.concatenate([a, eye], axis=1)
+    rows, cols, valuations = list(range(R)), list(range(C)), []
+    while rows and cols:
+        nz = aug[np.ix_(rows, cols)] != 0
+        val = np.where(nz.any(axis=2), nz.argmax(axis=2), K)
+        ri, ci = np.unravel_index(val.argmin(), val.shape)
+        e = int(val[ri, ci])
+        if e == K:
+            break
+        i, j = rows.pop(ri), cols.pop(ci)
+        hit = [h for h in rows if aug[h, j].any()]
+        if hit:
+            inv = _series_inverse(aug[i, j, e:], p)
+            q = _poly_mul(aug[hit, j, e:], inv[None], K - e)[:, 0] % p
+            # the used columns vanish in row i, and column j is cleared exactly
+            live = np.array(cols + list(range(C, C + R)), dtype=np.int64)
+            block = np.ix_(hit, live)
+            aug[block] = (aug[block] - _poly_mul(q, aug[i, live], K)) % p
+            aug[hit, j] = 0
+        valuations.append(e)
+    return aug[rows, C:], valuations

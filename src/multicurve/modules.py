@@ -32,9 +32,10 @@ depend on how the space was reached.
 That RREF is already the module's F_p[[x]]-lattice (Hermite, Howell) basis:
 in an x-closed space the pivots of each (y-level, component) block run from
 some v_b to the block's end, so the rows at each block's first pivot
-(`_lattice_rows`, at most n*r) and their x-multiples form a basis.  Lifts,
-x-division and colons over a module with no remembered generators start
-from these rows, never from the whole basis.
+(`_lattice_rows`, at most n*r) and their x-multiples form a basis.  Lifts
+and x-division over a module with no remembered generators start from these
+rows, never from the whole basis, and the isomorphism oracle writes maps in
+their coordinates.
 
 Both filtrations are slices of the RREF, read off with no elimination
 (`_filtration`).  ann_M(y^k), the part of M in y^(n-k) A^r, is spanned by
@@ -46,14 +47,24 @@ The graded pieces of a submodule of A, hence its indices, are read off its
 lattice valuations (`_valuations`); `indices_by_definition` recomputes the
 indices from the filtrations.  In ambient rank >= 2 they raise DomainError.
 
-The isomorphism oracle's Hom(M, M') is a transporter ("colon"), built by
-`_colon`: (uM' : M), u the first lattice row of M.  Truncation at x^N makes
-it exact once x^N R lies in uM', R the untruncated ring, whose colength is
-at most n*(v + v') (`_iso_single`).  The oracle tests the rows of a basis
-of Hom(M, M') for surjectivity, with no search.  The dual Hom(M, A) needs
-no colon: it is spanned by a column of the matrix factorization that
-`ext.build_resolution` reads off M (`dual_module_oracle`).
-Every elimination, those rank tests included, goes through `linalg`.
+The isomorphism oracle reads Hom(M, M') off the matrix factorization
+(f, M1, M2) that `ext.build_resolution` reads off M: a map is its values
+u_k on the generators f_k, written in the lattice coordinates of M'
+(`_lattice_coords`, one triangular pass), and it is well defined exactly
+when u.M1 = 0.  That makes Hom the kernel of an (r*n)-square matrix over
+F_p[x]/(x^K), which `linalg.poly_eliminate` returns as n rows
+(`_hom_basis`).  Both modules are lifted to W = max(N, n*(v_0 + v'_0)),
+past the colength of u*M' (u the first lattice row of M), and K = W - v'_0
+keeps every coordinate exact.  A basis row is onto exactly when the images
+of the F_p[[x]]-basis y^t f_k of M span M'/xM' (Nakayama): one n x n rank
+test mod x, with y acting on M'/xM' in lattice coordinates.  M and M' are
+isomorphic exactly when some basis row passes (`_iso_at`), and that row is
+confirmed as a map.  The dual Hom(M, A) is spanned by a column of the
+same factorization (`dual_module_oracle`).
+
+`lift_module` keeps each lift on the module it lifted (`ModuleRep.lifts`),
+so certified calls repeated on one module close it at N+2 once.
+Every elimination goes through `linalg`.
 """
 
 from __future__ import annotations
@@ -180,13 +191,14 @@ def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) 
 class ModuleRep:
     """A submodule of A^r presented by the echelon basis of its span."""
 
-    __slots__ = ("params", "ambient_rank", "num", "gens")
+    __slots__ = ("params", "ambient_rank", "num", "gens", "lifts")
 
     def __init__(self, params, ambient_rank, num, gens=None):
         self.params = params
         self.ambient_rank = ambient_rank
         self.num = num
         self.gens = gens
+        self.lifts = {}  # precision -> lift, filled by `lift_module`
 
     # -- basic invariants ------------------------------------------
 
@@ -262,15 +274,26 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     generators, which are carried over, else the lattice rows), padded with
     zero top x-degrees that the x-action regains.  In rank 1 this is the
     closure of the whole padded basis: every block with a pivot gains
-    exactly the new top degrees.  At M's own precision this is M itself.
+    exactly the new top degrees.  At M's own precision this is M itself; a
+    lower precision raises DomainError.
+
+    Each lift is kept in M.lifts, with no eviction, and returned again, so
+    certified calls repeated on one module close it at N+2 once.  Sharing is
+    safe: `Subspace` arrays are read-only and no ModuleRep field is
+    reassigned.
     """
+    if N_new < M.params.N:
+        raise DomainError(f"cannot lift a module at N={M.params.N} down to N={N_new}")
     if N_new == M.params.N:
         return M
+    if N_new in M.lifts:
+        return M.lifts[N_new]
     par, rank = M.params, M.ambient_rank
     big = par.with_precision(N_new)
     num = _close_rows(_pad_rows(_generator_rows(M), par, rank, big), big, rank)
     gens = None if M.gens is None else tuple(tuple(e.lift(big) for e in vec) for vec in M.gens)
-    return ModuleRep(big, rank, num, gens)
+    M.lifts[N_new] = lift = ModuleRep(big, rank, num, gens)
+    return lift
 
 
 # -- filtrations --------------------------------------------------------
@@ -475,19 +498,6 @@ def _require_full_invertible(M: ModuleRep, what: str) -> None:
         raise NotInvertibleError(f"{what} needs a module supported on the whole curve")
 
 
-def _colon(target: linalg.Subspace, M: ModuleRep) -> np.ndarray:
-    """Basis rows of the transporter {t in A : t*M <= target}.
-
-    Row k of `_mul_rows(g, eye(L))` is g times the k-th grid monomial, so the
-    transposed residues mod target map t to the residue of g*t; the colon is
-    the common nullspace of these maps over M's generators g.
-    """
-    par = M.params
-    grid = np.eye(par.n * par.N, dtype=np.int64)
-    blocks = [target.reduce(_mul_rows(g, grid, par, 1)).T for g in _generator_rows(M)]
-    return linalg.nullspace(np.vstack(blocks), par.p)
-
-
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     """The module of A-linear maps M -> A, realized as a submodule of A: the
     ideal spanned by column 0 of M2 in the matrix factorization (f, M1, M2)
@@ -528,58 +538,123 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
 # -- isomorphism oracle ---------------------------------------------------
 
 
-def _iso_single(M: ModuleRep, Mp: ModuleRep, N_target: int) -> str:
-    par = M.params.with_precision(N_target)
-    A = lift_module(M, N_target)
-    B = lift_module(Mp, N_target)
-    p, L = par.p, par.n * par.N
+def _lattice_coords(rows: np.ndarray, H: np.ndarray, v, K: int, p: int) -> np.ndarray:
+    """Coordinates mod x^K, shape (len(rows), n, K), of flat rows of A that
+    lie in M', in the basis of M''s lattice rows H (`_lattice_rows`).
 
-    # u, the first RREF row, has its pivot at level 0 (`_require_full_invertible`)
-    u_row = A.num.rows()[0]
-    W = linalg.span(_mul_rows(u_row, B.num.rows(), par, 1), p, L)
-    Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0),
-                                _shift(W.rows(), par, 1, 0, 1)]), p, L)
-    c = W.dim - Wm.dim
-    v_pivots = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
+    h'_l has level-l entry exactly x^(v'_l) and nothing below level l, so
+    the coordinate c_l of w is its level-l entry over x^(v'_l) once the
+    c_k h'_k of the levels k < l are subtracted: one triangular pass.  Above
+    level l, h'_l vanishes at the RREF's pivot columns, so its entries there
+    have x-degree below v'_(l+1), and a level subtracts at most v'_0 shifts.
+    Each c_l is exact to degree W - v'_l >= K for K <= W - v'_0.
+    """
+    n, W = len(H), H.shape[1] // len(H)
+    w, h = rows.reshape(-1, n, W) % p, H.reshape(n, n, W)
+    out = np.zeros((len(w), n, K), dtype=np.int64)
+    for l in range(n):
+        w[:, l] %= p
+        if w[:, l, : v[l]].any():
+            raise VerificationError("the image of a map into M' does not lie in M'")
+        c = w[:, l, v[l]:]
+        out[:, l] = c[:, :K]
+        for a in np.flatnonzero(h[l, l + 1:].any(axis=0)):
+            m = min(W - a, W - v[l])
+            w[:, l + 1:, a:a + m] -= h[l, l + 1:, a, None] * c[:, None, :m]
+    return out
 
-    # T = (uM' : M) is Hom(M, M') via t -> (m -> t*m / u).  T lies in M'
-    # once N >= n*(v + v'), v and v' the y-degree-0 valuations of M and M'
-    # (a normal form with indices <= B has v <= B, so N_min suffices).  In
-    # the untruncated ring R = F_p[[x]][y]/(y^n) the lattice uM' has n pivots
-    # of valuation <= v + v', so its colength is <= n*(v + v') and
-    # x^N R <= uM'.  Then t*M <= uM' holds in R, so t*u = u*m' with m' in M',
-    # and u (nonzero y-degree-0 part) is a nonzerodivisor of R: t = m'.
-    # Below that precision the N/N+2 certification guards the verdict.
-    T_rows = _colon(W, A)
 
-    # top[k][g]: g * t_k mod m*(u M'), in coordinates of W / m*(u M').  By
-    # Nakayama (m is nilpotent) t_k maps M onto u M' exactly when top[k] has
-    # rank c.  The maps that are not onto form a subspace of T: all of T if M
-    # and M' are not isomorphic (a surjection between torsion-free
-    # F_p[[x]]-modules of equal rank n is bijective), else phi*J for an
-    # isomorphism phi and the radical J of End(M).  End(M) is local: it is
-    # finite over F_p[[x]] inside K[y]/(y^n), K = F_p((x)), whose only
-    # idempotents are 0 and 1.  A proper subspace misses a row of every
-    # basis, so M and M' are isomorphic exactly when some row of T is onto.
-    imgs = np.stack([Wm.reduce(_mul_rows(g, T_rows, par, 1)) for g in _generator_rows(A)])
-    top = imgs[:, :, v_pivots].transpose(1, 0, 2)
-    for t, block in zip(T_rows, top):
-        if linalg.rank(block, p) == c:
-            if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
-                raise VerificationError("a map onto W / m*W does not map M onto u*M'")
+def _from_lattice_coords(c: np.ndarray, H: np.ndarray, p: int) -> np.ndarray:
+    """The flat rows sum_m c[:, m] h'_m of A: the inverse of `_lattice_coords`."""
+    n, W = len(H), H.shape[1] // len(H)
+    h, K = H.reshape(n, n, W), c.shape[2]
+    out = np.zeros((len(c), n, W), dtype=np.int64)
+    for m in range(n):
+        for a in np.flatnonzero(h[m].any(axis=0)):
+            k = min(K, W - a)
+            out[:, :, a:a + k] += h[m, :, a, None] * c[:, m, None, :k]
+    return out.reshape(len(c), n * W) % p
+
+
+def _hom_basis(A: ModuleRep, B: ModuleRep):
+    """A basis of Hom(A, B) over F_p[[x]], modulo x: (u, M1, H, K), u of
+    shape (n, r, n, K), where u[s, k] holds the lattice coordinates in B
+    (rows H) of the image of f_k under the s-th map, and (f, M1, M2) is A's
+    factorization (`ext.build_resolution`).
+
+    A map is its values u_k on the generators f_k, and it is well defined
+    exactly when u.M1 = 0, M1's columns being the relations of f.  Writing
+    u_k = sum_m c_(k,m) h'_m, this is c.Phi = 0 for the (r*n)-square matrix
+    Phi over F_p[x]/(x^K), K = W - v'_0, whose block (k, i) holds the
+    coordinates of h'_m * M1[k, i].  Hom has rank n over F_p[[x]] (it is
+    free of rank 1 over R tensored with F_p((x))), so the kernel that
+    `linalg.poly_eliminate` returns must have exactly n rows; more means
+    that Phi has an invariant of valuation >= K, i.e. too little precision.
+    """
+    from .ext import build_resolution  # ext imports modules
+    par, n = A.params, A.params.n
+    H, v = _lattice_rows(B.num, par), _valuations(B)
+    K = par.N - v[0]
+    M1 = build_resolution(A)[1]
+    r = len(M1)
+    images = np.vstack([_mul_rows(g, H, par, 1) for g in M1.reshape(r * r, -1)])
+    coords = _lattice_coords(images, H, v, K, par.p).reshape(r, r, n, n, K)
+    phi = coords.transpose(0, 2, 1, 3, 4).reshape(r * n, r * n, K)
+    u, _ = linalg.poly_eliminate(phi, par.p, K)
+    if len(u) != n:
+        raise PrecisionError(f"Hom(M, M') has rank {len(u)} modulo x^{K}, not {n}: raise N")
+    return u.reshape(n, r, n, K), M1, H, K
+
+
+def _iso_at(M: ModuleRep, Mp: ModuleRep, N: int) -> str:
+    # W is the precision at which Hom(M, M') = (u*M' : M) is exact, u the
+    # first lattice row of M: the lattice of u*M' has n pivots of valuation
+    # <= v_0 + v'_0, so x^W R lies in u*M', R = F_p[[x]][y]/(y^n).  Read at
+    # N = 9 instead, the golden n = 4, p = 3 pair below N_min has a kernel of
+    # rank 6 modulo x^(N - v'_0), not 4.
+    from .ext import _matmul  # ext imports modules
+    n, p = M.params.n, M.params.p
+    W = max(N, n * (_valuations(M)[0] + _valuations(Mp)[0]))
+    A, B = lift_module(M, W), lift_module(Mp, W)
+    u, M1, H, K = _hom_basis(A, B)
+    va = _valuations(A)
+    starts = [0] + [l for l in range(1, n) if va[l] < va[l - 1]]
+    gaps = np.diff(starts + [n])
+    # y on B / xB in lattice coordinates, and its powers below n
+    Y = _lattice_coords(_shift(H, A.params, 1, 0, 1), H, _valuations(B), 1, p)[..., 0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(1, n):
+        powers.append(powers[-1] @ Y % p)
+    # The y^t f_k (t < d_k) are an F_p[[x]]-basis of M, so by Nakayama the
+    # map u is onto exactly when their images (u_k mod x) Y^t span B / xB.
+    # The maps that are not onto form a subspace of Hom: all of it if M and
+    # M' are not isomorphic (a surjection between torsion-free F_p[[x]]-modules
+    # of equal rank n is bijective), else phi*J for an isomorphism phi and the
+    # radical J of End(M), which holds x.  End(M) is local: it is finite over
+    # F_p[[x]] inside K[y]/(y^n), K = F_p((x)), whose only idempotents are 0
+    # and 1.  A proper subspace that holds x*Hom misses a row of every basis
+    # modulo x, so M and M' are isomorphic exactly when some row of u is onto.
+    for row in u:
+        top = np.array([row[k, :, 0] @ powers[t] % p for k in range(len(gaps)) for t in range(gaps[k])])
+        if linalg.rank(top, p) == n:
+            # confirmed as a map: u.M1 = 0 below x-degree K, as the elimination guarantees
+            image = _matmul(_from_lattice_coords(row, H, p)[None], M1, A.params)
+            if image.reshape(-1, n, W)[..., :K].any():
+                raise VerificationError("a basis row of Hom(M, M') does not map the relations of M to 0")
             return "yes"
     return "no"
 
 
 def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep) -> str:
     """'yes' if M and M' are isomorphic, else 'no': exactly when some row of
-    a basis of Hom(M, M') is onto (at most dim Hom rank tests), the first onto
-    row confirmed by its image.  Computed at N and N+2, which must agree."""
+    an F_p[[x]]-basis of Hom(M, M') is onto (n rank tests mod x at most),
+    the first onto row confirmed as a map.  Computed at N and N+2, which
+    must agree."""
     if M.params != Mp.params:
         raise ParameterMismatch("isomorphism oracle needs identical ring parameters")
     _require_full_invertible(M, "is_isomorphic_oracle")
     _require_full_invertible(Mp, "is_isomorphic_oracle")
-    return _certified(M.params.N, lambda N: _iso_single(M, Mp, N))
+    return _certified(M.params.N, lambda N: _iso_at(M, Mp, N))
 
 
 # -- module-spec files ----------------------------------------------------

@@ -7,6 +7,7 @@ an explicit seed for reproducible runs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,6 +204,51 @@ def suite_moduli(seed: int) -> tuple[int, list[str]]:
     return checks, failures
 
 
+def suite_iso(seed: int) -> tuple[int, list[str]]:
+    """The isomorphism oracle against the two canonical keys: z for
+    single-jump stalks (`normalize_special`) and the reduced alpha for n = 3,
+    alpha_(3,1) cut to min(b1, b2 - b1) coefficients."""
+    checks, failures = 0, []
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        b, p = (2, 3) if n == 3 else (1, 2 if n == 5 else 3)
+        par = RingParams(n, required_precision(n, b), p)
+
+        def elem(unit=False):
+            grid = [[rng.randrange(p) for _ in range(par.N)] for _ in range(n)]
+            grid[0][0] = grid[0][0] or int(unit)
+            return RingElem(par, grid)
+
+        for j in range(1, n):
+            def grid():
+                return [[rng.randrange(p) for _ in range(b)] for _ in range(nf.jbar(n, j))]
+
+            z, z_partner = grid(), grid()
+            source = nf.special_ideal(nf.make_special_form(n, b, j, z), par)
+            partner = nf.special_ideal(nf.make_special_form(n, b, j, z_partner), par)
+            # generators u1*x*(lead + a*y^j) and u2*x*y^j for units u1, u2
+            x, yj = RingElem.monomial(par, 1, 1, 0), RingElem.monomial(par, 1, 0, j)
+            lead = source.gens[0][0]
+            copy = md.span_from_generators([elem(True) * x * (lead + elem() * yj), elem(True) * x * yj])
+            for label, other in (("source", source), ("partner", partner)):
+                checks += 1
+                iso = md.is_isomorphic_oracle(copy, other) == "yes"
+                if iso != (nf.normalize_special(copy) == nf.normalize_special(other)):
+                    failures.append(f"iso vs z key n={n} b={b} j={j} p={p} z={z} z'={z_partner} {label} seed={seed}")
+    par = RingParams(3, required_precision(3, 2), 3)
+    by_beta: dict[tuple[int, ...], list] = {}
+    for form in nf.iter_normal_forms(3, 2, 3):
+        cut = min(form.beta[0], form.beta[1] - form.beta[0])
+        key = dict(form.alpha).get((3, 1), (0,) * cut)[:cut]
+        by_beta.setdefault(form.beta, []).append((form, key, nf.ideal_from_indices(form, par)))
+    for forms in by_beta.values():
+        for (fa, ka, Ia), (fb, kb, Ib) in itertools.combinations(forms, 2):
+            checks += 1
+            if (md.is_isomorphic_oracle(Ia, Ib) == "yes") != (ka == kb):
+                failures.append(f"iso vs reduced alpha n=3 p=3 {fa.to_json()} {fb.to_json()}")
+    return checks, failures
+
+
 SUITES = {
     "ring": suite_ring,
     "indices": suite_indices,
@@ -210,6 +256,7 @@ SUITES = {
     "stability": suite_stability,
     "ext": suite_ext,
     "moduli": suite_moduli,
+    "iso": suite_iso,
 }
 
 

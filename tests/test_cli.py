@@ -252,7 +252,7 @@ class TestVerifyCommand:
     def test_all_suites(self, capsys):
         assert main(["verify", "all"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        suites = ("ring", "indices", "duality", "stability", "ext", "moduli")
+        suites = ("ring", "indices", "duality", "stability", "ext", "moduli", "iso")
         assert [ln.split()[:2] for ln in lines] == [["ok", f"{name}:"] for name in suites]
 
     def test_unknown_suite_is_invalid_input(self, capsys):

@@ -168,6 +168,18 @@ def test_golden_differential():
         assert got[key] == expected[key], key
 
 
+def test_below_n_min_iso_verdicts_need_the_working_precision():
+    # at N = 9 < n*(v_0 + v'_0) = 24 the oracle reads Hom at W = 24; read at
+    # N, the kernel over F_p[x]/(x^(N - v'_0)) has rank 6, not 4
+    expected = json.loads(FIXTURE.read_text())
+    for n, N, p, gens, other in BELOW_N_MIN:
+        par = RingParams(n, N, p)
+        M = _mod(par, gens)
+        stored = expected[f"below N_min n={n} N={N} p={p} ({', '.join(gens)})"]["iso"]
+        assert is_isomorphic_oracle(M, _disguised(M, "1 + x + x*y")) == stored["same"]
+        assert is_isomorphic_oracle(M, _mod(par, other)) == stored["other"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")

@@ -172,3 +172,47 @@ def test_gather_with_a_row_split_between_chunks(p, monkeypatch):
     monkeypatch.setattr(linalg, "GATHER_ENTRIES", 3 * 7)
     _subtract_product(out, coef, basis, p)
     assert np.array_equal(out, expected.astype(np.int64))
+
+
+def poly_product(a, b, p, K):
+    """(R, S, K) times (S, C, K) polynomial matrices mod (p, x^K), in Python
+    integers with np.convolve."""
+    out = np.zeros((a.shape[0], b.shape[1], K), dtype=object)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for s in range(a.shape[1]):
+                out[i, j] += np.convolve(a[i, s].astype(object), b[s, j].astype(object))[:K]
+    return out % p
+
+
+def unimodular(rng, size, p, K):
+    """A random invertible polynomial matrix mod x^K: lower times upper
+    triangular, unit diagonals."""
+    lo, up = (rng.integers(0, p, (size, size, K)) for _ in range(2))
+    for tri, keep in ((lo, np.tril), (up, np.triu)):
+        tri *= keep(np.ones((size, size), dtype=np.int64))[..., None]
+        tri[np.arange(size), np.arange(size)] = 0
+        tri[np.arange(size), np.arange(size), 0] = rng.integers(1, p, size)
+    return poly_product(lo, up, p, K).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_eliminate_reads_the_smith_valuations(p, data):
+    # mat = P.D.Q with P, Q invertible and D = diag(x^e_i) (a zero for e_i >= K):
+    # the pivot valuations are the e_i below K, in order, and the kernel rows
+    # are independent mod x and killed by mat mod x^K
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    R, C, K = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    e = sorted(data.draw(st.lists(st.integers(0, K + 1), min_size=min(R, C), max_size=min(R, C))))
+    D = np.zeros((R, C, K), dtype=np.int64)
+    for i, ei in enumerate(e):
+        if ei < K:
+            D[i, i, ei] = 1
+    mat = poly_product(poly_product(unimodular(rng, R, p, K), D, p, K), unimodular(rng, C, p, K), p, K)
+    kernel, valuations = linalg.poly_eliminate(mat.astype(np.int64), p, K)
+    assert valuations == [ei for ei in e if ei < K]
+    assert len(kernel) == R - len(valuations)
+    assert not poly_product(kernel, mat, p, K).any()
+    assert rank(kernel[..., 0], p) == len(kernel)

@@ -1,16 +1,22 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import naive_span_dim, x_scaled_copy
 
 from multicurve import linalg
-from multicurve.errors import ContainmentError, DomainError, NotInvertibleError
+from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, VerificationError
+from multicurve.ext import build_resolution
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
+    _certified,
     _close_rows,
-    _colon,
+    _from_lattice_coords,
+    _generator_rows,
+    _hom_basis,
     _mul_rows,
+    _shift,
     dual_module_oracle,
     first_filtration,
     format_module,
@@ -25,6 +31,7 @@ from multicurve.modules import (
     quotient_length,
     second_filtration,
     span_from_generators,
+    unflatten,
     zero_module,
 )
 from multicurve.normal_form import ideal_from_indices, make_general_form, make_special_form, special_ideal
@@ -257,6 +264,22 @@ class TestIndices:
         zero = ModuleRep(P3, 1, zero_module(P3).num)
         assert lift_module(zero, P3.N + 2).is_zero()
 
+    def test_lift_to_a_lower_precision_is_refused(self):
+        M = mod(RingParams(2, 12, 2), "x^2", "y")
+        with pytest.raises(DomainError):
+            lift_module(M, 10)
+
+    def test_lifts_are_kept_on_the_module(self):
+        # a certified call closes M at N+2 once; the kept lift equals a fresh one
+        M = mod(P3, "x^2", "x*y", "y^2")
+        indices(M)
+        kept = M.lifts[P3.N + 2]
+        assert lift_module(M, P3.N + 2) is kept
+        graded_report(M, "first")
+        assert lift_module(M, P3.N + 2) is kept
+        assert kept == lift_module(mod(P3, "x^2", "x*y", "y^2"), P3.N + 2)
+        assert lift_module(M, P3.N) is M and P3.N not in M.lifts
+
     def test_rank_two_lift_without_generators(self):
         # the module of (1, x^(N-1)) is a graph over its first component; its
         # basis holds (x, 0), the truncation of (x, x^N), which the lift must
@@ -384,6 +407,41 @@ class TestDualOracle:
             assert is_isomorphic_oracle(M, DD) == "yes"
 
 
+def _colon(target, M):
+    """Basis rows of the transporter {t in A : t*M <= target}, by F_p linear
+    algebra on n*N-square blocks: row k of `_mul_rows(g, eye(L))` is g times
+    the k-th grid monomial, so the transposed residues mod target map t to
+    the residue of g*t, and the colon is the common nullspace of these maps
+    over M's generators g."""
+    par = M.params
+    grid = np.eye(par.n * par.N, dtype=np.int64)
+    blocks = [target.reduce(_mul_rows(g, grid, par, 1)).T for g in _generator_rows(M)]
+    return linalg.nullspace(np.vstack(blocks), par.p)
+
+
+def _iso_by_colon(M, Mp, N_target):
+    """The isomorphism verdict at one precision from Hom(M, M') as the colon
+    T = (uM' : M), u the first lattice row of M, which lies in M' once
+    N >= n*(v_0 + v'_0): a row t of a basis of T is onto exactly when the
+    images g*t of M's generators span W / m*W, W = uM' and m = (x, y)."""
+    par = M.params.with_precision(N_target)
+    A, B = lift_module(M, N_target), lift_module(Mp, N_target)
+    p, L = par.p, par.n * par.N
+    u_row = A.num.rows()[0]
+    W = linalg.span(_mul_rows(u_row, B.num.rows(), par, 1), p, L)
+    Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0), _shift(W.rows(), par, 1, 0, 1)]), p, L)
+    c = W.dim - Wm.dim
+    top_cols = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
+    T = _colon(W, A)
+    images = np.stack([Wm.reduce(_mul_rows(g, T, par, 1)) for g in _generator_rows(A)])
+    for t, block in zip(T, images[:, :, top_cols].transpose(1, 0, 2)):
+        if linalg.rank(block, p) == c:
+            if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
+                raise VerificationError("a map onto W / m*W does not map M onto u*M'")
+            return "yes"
+    return "no"
+
+
 def _dual_rows_by_doubling(M, N):
     """The dual's rows by doubling: the colon at 2N, truncated to N, which
     is exact whenever 2N >= n*v."""
@@ -395,23 +453,28 @@ def _dual_rows_by_doubling(M, N):
 
 
 @st.composite
-def special_stalks(draw):
+def special_stalks(draw, with_partner=False):
     """A single-jump stalk at N_min, as built, times x, x-scaled, or without
-    generators."""
+    generators; with_partner adds a built stalk of the same shape and a
+    drawn z-grid (the same grid at times)."""
     n, b = draw(st.integers(2, 5)), draw(st.integers(1, 2))
     j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3]))
     rows = min(j, n - j) - 1
-    z = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=b, max_size=b),
-                      min_size=rows, max_size=rows))
+    grid = st.lists(st.lists(st.integers(0, p - 1), min_size=b, max_size=b),
+                    min_size=rows, max_size=rows)
     par = RingParams(n, required_precision(n, b), p)
-    M = special_ideal(make_special_form(n, b, j, z), par)
+    M = special_ideal(make_special_form(n, b, j, draw(grid)), par)
     kind = draw(st.sampled_from(["built", "shifted", "scaled", "bare"]))
     if kind == "scaled":
-        return x_scaled_copy(M, draw(st.sampled_from(["x^2+y", "x^3+y"])))
-    if kind == "shifted":
+        copy = x_scaled_copy(M, draw(st.sampled_from(["x^2+y", "x^3+y"])))
+    elif kind == "shifted":
         x = parse_elem("x", par)
-        return span_from_generators([x * g[0] for g in M.gens], params=par)
-    return ModuleRep(par, 1, M.num) if kind == "bare" else M
+        copy = span_from_generators([x * g[0] for g in M.gens], params=par)
+    else:
+        copy = ModuleRep(par, 1, M.num) if kind == "bare" else M
+    if not with_partner:
+        return copy
+    return copy, special_ideal(make_special_form(n, b, j, draw(grid)), par)
 
 
 @settings(max_examples=30, deadline=None)
@@ -447,16 +510,30 @@ class TestIsomorphismOracle:
     def test_different_indices_never_isomorphic(self, monomial_ideal):
         assert is_isomorphic_oracle(monomial_ideal, mod(P3, "x^2", "y^2")) == "no"
 
-    def test_hom_colon_lies_in_the_target(self):
-        # (uM' : M) <= M' once N >= n*(v + v'), v and v' the y-degree-0
-        # valuations: here n = 4, N = 16 and v + v' <= 3
+    def test_hom_basis_rows_are_maps(self):
+        # Hom(M, M') has rank n over F_p[[x]]: the kernel has exactly n rows,
+        # each row's values u_k lie in M', and u.M1 = 0 in A / x^K A,
+        # checked by ring arithmetic; M -> M holds the identity mod x
         par = RingParams(4, required_precision(4, 1), 3)
         a, b = mod(par, "x + y", "y^2"), mod(par, "x + 2*y", "y^2")
-        for M, Mp in ((a, b), (b, a), (mod(par, "x^2 + x*y", "x*y^2"), a)):
-            u = M.num.rows()[0]
-            W = linalg.span(_mul_rows(u, Mp.num.rows(), par, 1), par.p, M.width)
-            T = _colon(W, M)
-            assert T.shape[0] and not Mp.num.reduce(T).any()
+        for M, Mp in ((a, b), (b, a), (mod(par, "x^2 + x*y", "x*y^2"), a), (a, a)):
+            u, M1, H, K = _hom_basis(M, Mp)
+            assert len(u) == par.n
+            f = build_resolution(M)[0]
+            for row in u:
+                values = [unflatten(g, par, 1)[0] for g in _from_lattice_coords(row, H, par.p)]
+                assert all(Mp.contains(g) for g in values)
+                for i in range(len(M1)):
+                    image = sum((g * unflatten(M1[k, i], par, 1)[0] for k, g in enumerate(values)),
+                                RingElem.zero(par))
+                    assert not any(any(level[:K]) for level in image.coeffs)
+            if M is Mp:
+                # the identity sends f_k to f_k, the lattice row at its level
+                levels = [int(np.flatnonzero(g)[0]) // par.N for g in f]
+                ident = np.zeros((len(f), par.n), dtype=np.int64)
+                ident[np.arange(len(f)), levels] = 1
+                basis = u[:, :, :, 0].reshape(par.n, -1)
+                assert linalg.rank(np.vstack([basis, ident.ravel()]), par.p) == par.n
 
     def test_largest_prime_pair_is_not_isomorphic(self):
         # (x + 5y, y^2) and (x + 6y, y^2) at n = 4, p = 65521: z is unique, so
@@ -465,6 +542,32 @@ class TestIsomorphismOracle:
         a, b = mod(par, "x + 5*y", "y^2"), mod(par, "x + 6*y", "y^2")
         assert is_isomorphic_oracle(a, b) == "no"
         assert is_isomorphic_oracle(b, a) == "no"
+
+    def test_an_onto_row_that_is_not_a_map_is_refused(self, monkeypatch):
+        # x^(K-1) added to every coordinate leaves each row's onto test as it
+        # was, but u.M1 no longer vanishes below x^K
+        def perturbed(mat, p, K):
+            kernel, valuations = eliminate(mat, p, K)
+            kernel[..., K - 1] = (kernel[..., K - 1] + 1) % p
+            return kernel, valuations
+
+        eliminate = linalg.poly_eliminate
+        monkeypatch.setattr(linalg, "poly_eliminate", perturbed)
+        par = RingParams(4, required_precision(4, 1), 3)
+        a = mod(par, "x + y", "y^2")
+        with pytest.raises(VerificationError):
+            is_isomorphic_oracle(a, a)
+
+    def test_largest_prime_matches_the_colon(self):
+        par = RingParams(4, required_precision(4, 1), 65521)
+        a, b = mod(par, "x + 5*y", "y^2"), mod(par, "x + 6*y", "y^2")
+        disguised = span_from_generators(
+            [parse_elem("7 + x + y", par) * parse_elem("y^2", par),
+             parse_elem("65520 + 3*x", par) * parse_elem("x + 5*y", par)])
+        for M, Mp in ((a, b), (disguised, a)):
+            for N in (par.N, par.N + 2):
+                A, B = lift_module(M, N), lift_module(Mp, N)
+                assert is_isomorphic_oracle(A, B) == _certified(N, lambda k: _iso_by_colon(A, B, k))
 
     def test_largest_prime(self):
         # single-jump stalks (x + z*y, y^2) at n = 4: z is unique, so z = 5 and
@@ -478,6 +581,18 @@ class TestIsomorphismOracle:
         assert is_isomorphic_oracle(disguised, a) == "yes"
         twisted = mod(par, "x + 6*y", "y^2")
         assert is_isomorphic_oracle(disguised, twisted) == "no"
+
+
+@settings(max_examples=30, deadline=None)
+@given(special_stalks(with_partner=True))
+def test_oracle_matches_the_colon_reference(pair):
+    # the lattice oracle and the colon oracle agree, in both directions, on
+    # every kind of stalk against a z-partner, at N and at N+2
+    M, Mp = pair
+    for N in (M.params.N, M.params.N + 2):
+        A, B = lift_module(M, N), lift_module(Mp, N)
+        for S, T in ((A, B), (B, A)):
+            assert is_isomorphic_oracle(S, T) == _certified(N, lambda k: _iso_by_colon(S, T, k))
 
 
 class TestModuleFiles:
