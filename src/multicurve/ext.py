@@ -28,9 +28,17 @@ f.M1 = M1.M2 = M2.M1 = 0 are checked exactly on construction.
 
 For a free stalk this is r = 1, M1 = (y^n) = 0 and M2 = (1); for a
 single-jump stalk (x^b + alpha*y, y^j) it is r = 2, and for an n = 3
-two-jump stalk r = 3.  Ext^1(I, I) is the homology ker(.M2)/im(.M1)
-of the induced maps on Hom(A^r, I) = I^r, certified at N and N+2 and
-checked against the closed form 2*min(j, n-j)*b, respectively
+two-jump stalk r = 3.
+
+Ext^1(I, I) is the homology ker(.M2)/im(.M1) on Hom(A^r, I) = I^r, free
+of rank r*n over F_p[[x]].  It has finite length and ker(.M2) is saturated,
+so ker(.M2) = sat(im .M1) and Ext^1 is the torsion of coker(.M1): its
+length is the sum of the Smith valuations of the matrix Phi of .M1 in I's
+lattice coordinates (`modules._hom_matrix`, `linalg.poly_eliminate`;
+Storjohann & Mulders 1998, "Fast algorithms for linear algebra modulo N").
+The kernel End(I) has rank n, so exactly n kernel rows certify that each
+valuation is below Phi's precision K.  Certified at W = max(N, 2*n*v_0) and
+W + 2, and checked against the closed form 2*min(j, n-j)*b, respectively
 2*b2 + 2*min(b1, b2 - b1), wherever one applies.
 """
 
@@ -38,19 +46,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .errors import MissingInput, UnsupportedConfig, VerificationError
 from .invariants import CurveParams
 from .moduli import LocalConfig, PointIndices, _tangent_term, tangent_dimension
 from .modules import (
     ModuleRep,
     _certified,
+    _generator_levels,
+    _hom_kernel,
+    _hom_matrix,
     _indices_single,
     _lattice_rows,
     _mul_rows,
     _require_full_invertible,
     _shift,
     _valuations,
+    _working_precision,
     lift_module,
 )
 from .ring import RingParams
@@ -82,7 +93,7 @@ def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     par = I.params
     n, N, p = par.n, par.N, par.p
     v = _valuations(I)
-    gens = [0] + [l for l in range(1, n) if v[l] < v[l - 1]]
+    gens = _generator_levels(v)
     ends = gens[1:] + [n]
     r = len(gens)
     f = _lattice_rows(I.num, par)[gens]
@@ -118,43 +129,26 @@ def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, M1, M2
 
 
-# -- homology ---------------------------------------------------------------
-
-
-def _hom_action_matrix(res_mat: np.ndarray, I: ModuleRep) -> np.ndarray:
-    """Matrix of phi -> phi o M on Hom(A^r, I) = I^r in I-basis coordinates."""
-    basis = I.num.rows()
-    pivots = list(I.num.pivots)
-
-    def block(e: np.ndarray) -> np.ndarray:
-        # column t: coordinates of e * (basis row t); valid as the basis is in RREF
-        return _mul_rows(e, basis, I.params, 1)[:, pivots].T
-
-    # block (j, k): component j of phi o M picks (M)_{k j} * v_k
-    r = len(res_mat)
-    return np.block([[block(res_mat[k, j]) for k in range(r)] for j in range(r)])
+# -- Ext^1 ------------------------------------------------------------------
 
 
 def _ext1_once(I: ModuleRep) -> int:
     if not any(_indices_single(I)):
         return 0
-    _, M1, M2 = build_resolution(I)
-    a1, a2 = _hom_action_matrix(M1, I), _hom_action_matrix(M2, I)
-    # dim ker(.M2) - dim im(.M1) on Hom(A^r, I)
-    return a1.shape[0] - linalg.rank(a2, I.params.p) - linalg.rank(a1, I.params.p)
+    phi, _, _, K = _hom_matrix(I, I)
+    return sum(_hom_kernel(phi, K, I.params)[1])
 
 
 def local_ext1_length(I: ModuleRep) -> int:
-    """Length of Ext^1(I, I) by exact linear algebra on the resolution, for
-    any stalk supported on the whole curve (else NotInvertibleError).
-
-    Certified at N and N+2; checked against the closed form
-    (2*min(j, n-j)*b for single-jump shapes, 2*b2 + 2*min(b1, b2-b1) for
-    multiplicity 3) wherever one applies.
-    """
+    """Length of Ext^1(I, I), the sum of the Smith valuations of .M1 on I^r,
+    for any stalk supported on the whole curve (else NotInvertibleError).
+    Certified at W = max(N, 2*n*v_0) and W + 2, and checked against the
+    closed form of the indices at W: below N_min those at N belong to the
+    truncated module."""
     _require_full_invertible(I, "local_ext1_length")
-    val = _certified(I.params.N, lambda N: _ext1_once(lift_module(I, N)))
-    expected = closed_form_ext1(I.params.n, _indices_single(I))
+    W = _working_precision(I, I)
+    val = _certified(W, lambda N: _ext1_once(lift_module(I, N)))
+    expected = closed_form_ext1(I.params.n, _indices_single(lift_module(I, W)))
     if expected is not None and expected != val:
         raise VerificationError(f"resolution Ext^1 length {val} differs from closed form {expected}")
     return val

@@ -51,15 +51,16 @@ The isomorphism oracle reads Hom(M, M') off the matrix factorization
 (f, M1, M2) that `ext.build_resolution` reads off M: a map is its values
 u_k on the generators f_k, written in the lattice coordinates of M'
 (`_lattice_coords`, one triangular pass), and it is well defined exactly
-when u.M1 = 0.  That makes Hom the kernel of an (r*n)-square matrix over
-F_p[x]/(x^K), which `linalg.poly_eliminate` returns as n rows
-(`_hom_basis`).  Both modules are lifted to W = max(N, n*(v_0 + v'_0)),
-past the colength of u*M' (u the first lattice row of M), and K = W - v'_0
-keeps every coordinate exact.  A basis row is onto exactly when the images
-of the F_p[[x]]-basis y^t f_k of M span M'/xM' (Nakayama): one n x n rank
-test mod x, with y acting on M'/xM' in lattice coordinates.  M and M' are
-isomorphic exactly when some basis row passes (`_iso_at`), and that row is
-confirmed as a map.  The dual Hom(M, A) is spanned by a column of the
+when u.M1 = 0.  That makes Hom the kernel of an (r*n)-square matrix Phi
+over F_p[x]/(x^K) (`_hom_matrix`), which `linalg.poly_eliminate` returns
+as exactly n rows (`_hom_kernel`); `ext.local_ext1_length` sums the
+valuations of the same elimination for M' = M.  Both calls certify at
+W = max(N, n*(v_0 + v'_0)) (`_working_precision`) and W + 2, and
+K = W - v'_0 keeps every coordinate exact.  A basis row is onto exactly
+when the images of the F_p[[x]]-basis y^t f_k of M span M'/xM' (Nakayama):
+one n x n rank test mod x, with y acting on M'/xM' in lattice coordinates.
+M and M' are isomorphic exactly when some basis row passes (`_iso_at`),
+and that row is confirmed as a map.  The dual Hom(M, A) is spanned by a column of the
 same factorization (`dual_module_oracle`).
 
 `lift_module` keeps each lift on the module it lifted (`ModuleRep.lifts`),
@@ -396,6 +397,11 @@ def _valuations(M: ModuleRep) -> tuple[int, ...]:
     return tuple(int(a) for a in pivots[first] % N)
 
 
+def _generator_levels(v) -> list[int]:
+    """The levels of `ext.build_resolution`'s generators: 0 and each level where v drops."""
+    return [0] + [l for l in range(1, len(v)) if v[l] < v[l - 1]]
+
+
 def _graded_single(M: ModuleRep, which: str) -> GradedReport:
     # y^(k+1) M tensor F_p((x)) is the span of the levels above n - m + k, so
     # y^(k+1) M is saturated in y^k M cut to those levels: for k < m, G_k has
@@ -576,21 +582,21 @@ def _from_lattice_coords(c: np.ndarray, H: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(len(c), n * W) % p
 
 
-def _hom_basis(A: ModuleRep, B: ModuleRep):
-    """A basis of Hom(A, B) over F_p[[x]], modulo x: (u, M1, H, K), u of
-    shape (n, r, n, K), where u[s, k] holds the lattice coordinates in B
-    (rows H) of the image of f_k under the s-th map, and (f, M1, M2) is A's
-    factorization (`ext.build_resolution`).
+def _working_precision(M: ModuleRep, Mp: ModuleRep) -> int:
+    """W = max(N, n*(v_0 + v'_0)), at which Hom(M, M') = (u*M' : M) is exact,
+    u the first lattice row of M: u*M' has n lattice pivots of valuation
+    <= v_0 + v'_0, so x^W R lies in it.  W = N at N_min; read at N = 9, the
+    golden n = 4, p = 3 pair has a kernel of rank 6, not 4."""
+    return max(M.params.N, M.params.n * (_valuations(M)[0] + _valuations(Mp)[0]))
 
-    A map is its values u_k on the generators f_k, and it is well defined
-    exactly when u.M1 = 0, M1's columns being the relations of f.  Writing
-    u_k = sum_m c_(k,m) h'_m, this is c.Phi = 0 for the (r*n)-square matrix
-    Phi over F_p[x]/(x^K), K = W - v'_0, whose block (k, i) holds the
-    coordinates of h'_m * M1[k, i].  Hom has rank n over F_p[[x]] (it is
-    free of rank 1 over R tensored with F_p((x))), so the kernel that
-    `linalg.poly_eliminate` returns must have exactly n rows; more means
-    that Phi has an invariant of valuation >= K, i.e. too little precision.
-    """
+
+def _hom_matrix(A: ModuleRep, B: ModuleRep):
+    """(Phi, M1, H, K): the matrix Phi over F_p[x]/(x^K), K = W - v'_0, of
+    u -> u.M1 on B^r in the lattice coordinates of B (rows H), M1 from A's
+    factorization (`ext.build_resolution`).  A map A -> B is its values u_k
+    on the generators f_k, well defined exactly when u.M1 = 0; writing
+    u_k = sum_m c_(k,m) h'_m, block (k, i) of Phi holds the coordinates of
+    h'_m * M1[k, i], so Hom(A, B) is the left kernel of Phi."""
     from .ext import build_resolution  # ext imports modules
     par, n = A.params, A.params.n
     H, v = _lattice_rows(B.num, par), _valuations(B)
@@ -599,27 +605,25 @@ def _hom_basis(A: ModuleRep, B: ModuleRep):
     r = len(M1)
     images = np.vstack([_mul_rows(g, H, par, 1) for g in M1.reshape(r * r, -1)])
     coords = _lattice_coords(images, H, v, K, par.p).reshape(r, r, n, n, K)
-    phi = coords.transpose(0, 2, 1, 3, 4).reshape(r * n, r * n, K)
-    u, _ = linalg.poly_eliminate(phi, par.p, K)
-    if len(u) != n:
-        raise PrecisionError(f"Hom(M, M') has rank {len(u)} modulo x^{K}, not {n}: raise N")
-    return u.reshape(n, r, n, K), M1, H, K
+    return coords.transpose(0, 2, 1, 3, 4).reshape(r * n, r * n, K), M1, H, K
 
 
-def _iso_at(M: ModuleRep, Mp: ModuleRep, N: int) -> str:
-    # W is the precision at which Hom(M, M') = (u*M' : M) is exact, u the
-    # first lattice row of M: the lattice of u*M' has n pivots of valuation
-    # <= v_0 + v'_0, so x^W R lies in u*M', R = F_p[[x]][y]/(y^n).  Read at
-    # N = 9 instead, the golden n = 4, p = 3 pair below N_min has a kernel of
-    # rank 6 modulo x^(N - v'_0), not 4.
+def _hom_kernel(phi: np.ndarray, K: int, params: RingParams):
+    """`linalg.poly_eliminate`(Phi) with n kernel rows, else PrecisionError:
+    Hom has rank n over F_p[[x]] (free of rank 1 over R (x) F_p((x))), so
+    more rows mean an invariant of valuation >= K, i.e. too little precision."""
+    u, valuations = linalg.poly_eliminate(phi, params.p, K)
+    if len(u) != params.n:
+        raise PrecisionError(f"Hom(M, M') has rank {len(u)} modulo x^{K}, not {params.n}: raise N")
+    return u, valuations
+
+
+def _iso_at(A: ModuleRep, B: ModuleRep) -> str:
     from .ext import _matmul  # ext imports modules
-    n, p = M.params.n, M.params.p
-    W = max(N, n * (_valuations(M)[0] + _valuations(Mp)[0]))
-    A, B = lift_module(M, W), lift_module(Mp, W)
-    u, M1, H, K = _hom_basis(A, B)
-    va = _valuations(A)
-    starts = [0] + [l for l in range(1, n) if va[l] < va[l - 1]]
-    gaps = np.diff(starts + [n])
+    n, p, W = A.params.n, A.params.p, A.params.N
+    phi, M1, H, K = _hom_matrix(A, B)
+    u = _hom_kernel(phi, K, A.params)[0].reshape(n, len(M1), n, K)
+    gaps = np.diff(_generator_levels(_valuations(A)) + [n])
     # y on B / xB in lattice coordinates, and its powers below n
     Y = _lattice_coords(_shift(H, A.params, 1, 0, 1), H, _valuations(B), 1, p)[..., 0]
     powers = [np.eye(n, dtype=np.int64)]
@@ -648,13 +652,14 @@ def _iso_at(M: ModuleRep, Mp: ModuleRep, N: int) -> str:
 def is_isomorphic_oracle(M: ModuleRep, Mp: ModuleRep) -> str:
     """'yes' if M and M' are isomorphic, else 'no': exactly when some row of
     an F_p[[x]]-basis of Hom(M, M') is onto (n rank tests mod x at most),
-    the first onto row confirmed as a map.  Computed at N and N+2, which
+    the first onto row confirmed as a map.  Computed on both modules lifted
+    to the working precision W (`_working_precision`) and to W + 2, which
     must agree."""
     if M.params != Mp.params:
         raise ParameterMismatch("isomorphism oracle needs identical ring parameters")
     _require_full_invertible(M, "is_isomorphic_oracle")
     _require_full_invertible(Mp, "is_isomorphic_oracle")
-    return _certified(M.params.N, lambda N: _iso_at(M, Mp, N))
+    return _certified(_working_precision(M, Mp), lambda N: _iso_at(lift_module(M, N), lift_module(Mp, N)))
 
 
 # -- module-spec files ----------------------------------------------------

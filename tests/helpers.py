@@ -3,14 +3,17 @@
 These deliberately avoid the production code paths: spans are computed by
 multiplying generators with every monomial through RingElem arithmetic (or,
 for flat rows, by moving their coordinates) and row-reducing with a
-self-contained pure-Python elimination.  `x_scaled_copy` is the one
-builder here: it makes isomorphic copies through the production span.
+self-contained pure-Python elimination.  `x_scaled_copy` and the
+`special_stalks` strategy are the builders here: they make stalks and
+isomorphic copies through the production span.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
-from multicurve.modules import divide_by_x_power, span_from_generators
-from multicurve.ring import RingElem, RingParams, parse_elem
+from multicurve.modules import ModuleRep, divide_by_x_power, span_from_generators
+from multicurve.normal_form import make_special_form, special_ideal
+from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
 
 def _row_reduce_dim(rows, p):
@@ -122,3 +125,28 @@ def x_scaled_copy(M, t_text):
     rows = tM.num.rows().reshape(-1, par.n, par.N)
     k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
     return divide_by_x_power(tM, k)
+
+
+@st.composite
+def special_stalks(draw, with_partner=False):
+    """A single-jump stalk at N_min, as built, times x, x-scaled, or without
+    generators; with_partner adds a built stalk of the same shape and a
+    drawn z-grid (the same grid at times)."""
+    n, b = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3]))
+    rows = min(j, n - j) - 1
+    grid = st.lists(st.lists(st.integers(0, p - 1), min_size=b, max_size=b),
+                    min_size=rows, max_size=rows)
+    par = RingParams(n, required_precision(n, b), p)
+    M = special_ideal(make_special_form(n, b, j, draw(grid)), par)
+    kind = draw(st.sampled_from(["built", "shifted", "scaled", "bare"]))
+    if kind == "scaled":
+        copy = x_scaled_copy(M, draw(st.sampled_from(["x^2+y", "x^3+y"])))
+    elif kind == "shifted":
+        x = parse_elem("x", par)
+        copy = span_from_generators([x * g[0] for g in M.gens], params=par)
+    else:
+        copy = ModuleRep(par, 1, M.num) if kind == "bare" else M
+    if not with_partner:
+        return copy
+    return copy, special_ideal(make_special_form(n, b, j, draw(grid)), par)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import ext1_n3_closed_form, ext1_special_closed_form, x_scaled_copy
+from helpers import ext1_n3_closed_form, ext1_special_closed_form, special_stalks, x_scaled_copy
 
+from multicurve import linalg
 from multicurve.errors import (
     DomainError,
     MissingInput,
@@ -20,10 +22,14 @@ from multicurve.ext import (
 from multicurve.invariants import CurveParams, dual_indices, genus
 from multicurve.moduli import LocalConfig, PointIndices, special_point
 from multicurve.modules import (
+    ModuleRep,
+    _certified,
+    _mul_rows,
     dual_module_oracle,
     flatten,
     indices,
     is_isomorphic_oracle,
+    lift_module,
     span_from_generators,
     unflatten,
 )
@@ -57,6 +63,32 @@ def ring_matmul(A, B, par):
         out.append([sum((row[k] * B[k][j] for k in range(len(B))), zero)
                     for j in range(len(B[0]))])
     return out
+
+
+def _hom_action_matrix(res_mat, I):
+    """Matrix of phi -> phi o M on Hom(A^r, I) = I^r in I-basis coordinates."""
+    basis = I.num.rows()
+    pivots = list(I.num.pivots)
+
+    def block(e):
+        # column t: coordinates of e * (basis row t); valid as the basis is in RREF
+        return _mul_rows(e, basis, I.params, 1)[:, pivots].T
+
+    # block (j, k): component j of phi o M picks (M)_{k j} * v_k
+    r = len(res_mat)
+    return np.block([[block(res_mat[k, j]) for k in range(r)] for j in range(r)])
+
+
+def _ext1_by_homology(I: ModuleRep) -> int:
+    """dim ker(.M2) - dim im(.M1) on Hom(A^r, I) = I^r, by two F_p ranks of
+    (r*dim I)-square matrices: the reference for the Smith valuations."""
+    _, M1, M2 = build_resolution(I)
+    a1, a2 = _hom_action_matrix(M1, I), _hom_action_matrix(M2, I)
+    return a1.shape[0] - linalg.rank(a2, I.params.p) - linalg.rank(a1, I.params.p)
+
+
+def _certified_homology(I: ModuleRep) -> int:
+    return _certified(I.params.N, lambda k: _ext1_by_homology(lift_module(I, k)))
 
 
 class TestBuildResolution:
@@ -172,6 +204,21 @@ class TestLocalExtLength:
         par = RingParams(3, 18, 2)
         assert local_ext1_length(mod(par, "1")) == 0
 
+    @pytest.mark.parametrize("n,N,b,j,value", [
+        (3, 5, 4, 2, 8),
+        (4, 3, 2, 3, 4),
+        (4, 7, 4, 3, 8),
+        (3, 3, 2, 2, 4),
+    ])
+    def test_below_n_min_equals_the_lift_to_n_min(self, n, N, b, j, value):
+        # (x^b + y, y^j) below N_min: read at N and N+2, the first three gave
+        # 10, 6 and 14, certified, as both truncations had the same wrong
+        # closed form, and the last raised PrecisionError; read at
+        # W = max(N, 2*n*v_0), each equals the same generators at N_min
+        I = mod(RingParams(n, N, 2), f"x^{b} + y", f"y^{j}")
+        assert local_ext1_length(I) == value
+        assert local_ext1_length(lift_module(I, required_precision(n, b))) == value
+
     def test_special_grid(self):
         for p in (2, 3):
             for n in (2, 3, 4):
@@ -227,6 +274,28 @@ class TestLocalExtLength:
         assert closed_form_ext1(5, (0, 2, 2, 2)) == ext1_special_closed_form(5, 2, 2)
         assert closed_form_ext1(3, (1, 3)) == ext1_n3_closed_form(1, 3)
         assert closed_form_ext1(4, (1, 2, 3)) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(special_stalks())
+def test_ext1_matches_the_homology_reference(I):
+    # every kind of single-jump stalk (built, shifted, scaled, bare), p in {2, 3}
+    assert local_ext1_length(I) == _certified_homology(I)
+
+
+def test_ext1_matches_the_homology_reference_beyond_the_closed_forms():
+    # a stalk at the largest prime, and the n = 4, beta = (1, 2, 3), p = 2
+    # forms, which have no closed form and split into 10 and 12
+    I = mod(RingParams(4, required_precision(4, 1), 65521), "x + 5*y", "y^2")
+    assert local_ext1_length(I) == _certified_homology(I) == 4
+    par = RingParams(4, required_precision(4, 3), 2)
+    values = []
+    for form in iter_normal_forms(4, 3, 2):
+        if form.beta == (1, 2, 3):
+            I = ideal_from_indices(form, par)
+            values.append(local_ext1_length(I))
+            assert values[-1] == _certified_homology(I), form
+    assert sorted(values) == [10] * 4 + [12] * 4
 
 
 class TestGlobalExt:

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from multicurve import ext, modules
 from multicurve.errors import MultiCurveError
 from multicurve.ext import local_ext1_length
 from multicurve.modules import (
@@ -178,6 +179,25 @@ def test_below_n_min_iso_verdicts_need_the_working_precision():
         stored = expected[f"below N_min n={n} N={N} p={p} ({', '.join(gens)})"]["iso"]
         assert is_isomorphic_oracle(M, _disguised(M, "1 + x + x*y")) == stored["same"]
         assert is_isomorphic_oracle(M, _mod(par, other)) == stored["other"]
+
+
+def test_below_n_min_certified_calls_lift_to_two_precisions(monkeypatch):
+    # the oracle and Ext^1 both work at W = n*(v_0 + v'_0) = 24 > N + 2, and
+    # certify at W and W + 2, so the second pass is not a repeat of the first
+    def spy(M, N_new):
+        seen.append(N_new)
+        return lift(M, N_new)
+
+    lift, seen = modules.lift_module, []
+    for layer in (modules, ext):
+        monkeypatch.setattr(layer, "lift_module", spy)
+    for n, N, p, gens, other in BELOW_N_MIN:
+        par = RingParams(n, N, p)
+        M, Mp = _mod(par, gens), _mod(par, other)
+        for call in (lambda: is_isomorphic_oracle(M, Mp), lambda: local_ext1_length(M)):
+            seen.clear()
+            call()
+            assert set(seen) == {24, 26}
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_span_dim, x_scaled_copy
+from helpers import naive_span_dim, special_stalks
 
 from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, VerificationError
@@ -14,7 +14,8 @@ from multicurve.modules import (
     _close_rows,
     _from_lattice_coords,
     _generator_rows,
-    _hom_basis,
+    _hom_kernel,
+    _hom_matrix,
     _mul_rows,
     _shift,
     dual_module_oracle,
@@ -452,31 +453,6 @@ def _dual_rows_by_doubling(M, N):
     return linalg.span(sol, work.p, work.n * N)
 
 
-@st.composite
-def special_stalks(draw, with_partner=False):
-    """A single-jump stalk at N_min, as built, times x, x-scaled, or without
-    generators; with_partner adds a built stalk of the same shape and a
-    drawn z-grid (the same grid at times)."""
-    n, b = draw(st.integers(2, 5)), draw(st.integers(1, 2))
-    j, p = draw(st.integers(1, n - 1)), draw(st.sampled_from([2, 3]))
-    rows = min(j, n - j) - 1
-    grid = st.lists(st.lists(st.integers(0, p - 1), min_size=b, max_size=b),
-                    min_size=rows, max_size=rows)
-    par = RingParams(n, required_precision(n, b), p)
-    M = special_ideal(make_special_form(n, b, j, draw(grid)), par)
-    kind = draw(st.sampled_from(["built", "shifted", "scaled", "bare"]))
-    if kind == "scaled":
-        copy = x_scaled_copy(M, draw(st.sampled_from(["x^2+y", "x^3+y"])))
-    elif kind == "shifted":
-        x = parse_elem("x", par)
-        copy = span_from_generators([x * g[0] for g in M.gens], params=par)
-    else:
-        copy = ModuleRep(par, 1, M.num) if kind == "bare" else M
-    if not with_partner:
-        return copy
-    return copy, special_ideal(make_special_form(n, b, j, draw(grid)), par)
-
-
 @settings(max_examples=30, deadline=None)
 @given(special_stalks())
 def test_dual_precision_rule_matches_doubling(M):
@@ -511,19 +487,35 @@ class TestIsomorphismOracle:
         assert is_isomorphic_oracle(monomial_ideal, mod(P3, "x^2", "y^2")) == "no"
 
     def test_hom_basis_rows_are_maps(self):
-        # Hom(M, M') has rank n over F_p[[x]]: the kernel has exactly n rows,
-        # each row's values u_k lie in M', and u.M1 = 0 in A / x^K A,
-        # checked by ring arithmetic; M -> M holds the identity mod x
+        # Phi is the matrix of u -> u.M1 on M'^r in M''s lattice coordinates:
+        # for drawn coordinates c, c.Phi are those of u.M1 below x^K, by ring
+        # arithmetic.  Hom(M, M') has rank n over F_p[[x]]: the kernel has
+        # exactly n rows, each row's values u_k lie in M', and u.M1 = 0 in
+        # A / x^K A; M -> M holds the identity mod x
         par = RingParams(4, required_precision(4, 1), 3)
+        rng = np.random.default_rng(0)
         a, b = mod(par, "x + y", "y^2"), mod(par, "x + 2*y", "y^2")
         for M, Mp in ((a, b), (b, a), (mod(par, "x^2 + x*y", "x*y^2"), a), (a, a)):
-            u, M1, H, K = _hom_basis(M, Mp)
-            assert len(u) == par.n
+            phi, M1, H, K = _hom_matrix(M, Mp)
+            r = len(M1)
+            assert phi.shape == (r * par.n, r * par.n, K)
+            c = rng.integers(0, par.p, size=r * par.n * K).reshape(r * par.n, K)
+            image = np.zeros((r * par.n, K), dtype=np.int64)
+            for s, t in np.ndindex(phi.shape[:2]):
+                image[t] += np.convolve(c[s], phi[s, t])[:K]
+            got = _from_lattice_coords(image.reshape(r, par.n, K) % par.p, H, par.p)
+            values = [unflatten(g, par, 1)[0] for g in _from_lattice_coords(c.reshape(r, par.n, K), H, par.p)]
+            for i in range(r):
+                want = sum((g * unflatten(M1[k, i], par, 1)[0] for k, g in enumerate(values)),
+                           RingElem.zero(par))
+                assert [level[:K] for level in want.coeffs] == \
+                    [level[:K] for level in unflatten(got[i], par, 1)[0].coeffs]
+            u = _hom_kernel(phi, K, par)[0].reshape(par.n, r, par.n, K)
             f = build_resolution(M)[0]
             for row in u:
                 values = [unflatten(g, par, 1)[0] for g in _from_lattice_coords(row, H, par.p)]
                 assert all(Mp.contains(g) for g in values)
-                for i in range(len(M1)):
+                for i in range(r):
                     image = sum((g * unflatten(M1[k, i], par, 1)[0] for k, g in enumerate(values)),
                                 RingElem.zero(par))
                     assert not any(any(level[:K]) for level in image.coeffs)
