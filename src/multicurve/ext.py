@@ -56,7 +56,6 @@ from .modules import (
     _hom_kernel,
     _hom_matrix,
     _indices_single,
-    _lattice_rows,
     _mul_rows,
     _require_full_invertible,
     _shift,
@@ -96,7 +95,7 @@ def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gens = _generator_levels(v)
     ends = gens[1:] + [n]
     r = len(gens)
-    f = _lattice_rows(I.num, par)[gens]
+    f = I.H[gens]
     one = np.zeros(n * N, dtype=np.int64)
     one[0] = 1
 

@@ -3,9 +3,10 @@
 Everything over F_p derives from one Gauss-Jordan routine, `_rref`:
 `Subspace` keeps its basis in the reduced row echelon form that `_rref`
 returns (or that `from_rref` is handed), and `nullspace` and `rank` read
-their answers off it.  Over F_p[x]/(x^K) there is one routine too,
-`poly_eliminate` (minimal-valuation pivoting; its docstring has its own
-exactness argument).
+their answers off it.  Over F_p[x]/(x^K) there are two routines, both
+minimal-valuation pivoting: `poly_eliminate` (Smith valuations and the
+kernel) and `howell` (the reduced Howell form of a span); their docstrings
+have their exactness arguments.
 
 Exactness: all matrices hold residues in [0, p), and p < 2^16 (RingParams
 enforces it).  The largest intermediate value is an accumulated product of
@@ -214,11 +215,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def echelon(mat, p: int) -> np.ndarray:
-    """The nonzero rows of the reduced row echelon form of mat over F_p."""
-    return _rref(mat, p)[0]
-
-
 def rank(mat, p: int) -> int:
     return _rref(mat, p)[1].size
 
@@ -294,3 +290,50 @@ def poly_eliminate(mat, p: int, K: int) -> tuple[np.ndarray, list[int]]:
             aug[hit, j] = 0
         valuations.append(e)
     return aug[rows, C:], valuations
+
+
+def howell(rows, p: int, N: int) -> np.ndarray:
+    """The reduced Howell form of the F_p[x]-span of flat rows over F_p[x]/(x^N),
+    each row holding C polynomial columns of N coefficients.
+
+    Column by column, the live row of least valuation e in the column is the
+    pivot: scaled by the inverse of its unit part, it leads with x^e, and the
+    other live rows drop their multiples of it (exact, as they have valuation
+    >= e there).  It leaves the row x^(N-e) * pivot, which vanishes in the
+    column, live (Howell 1986, "Spans in the module (Z_m)^s"), so the live
+    rows span every element of the span that vanishes in the columns done.
+    Last, each entry above a pivot x^(v_k) is reduced modulo x^(v_k).
+
+    Returns one flat row per column that holds a pivot, in column order: x^(v_k)
+    in its column, zero before it, of degree below v_m in each later pivot
+    column m.  That form is unique to the span; for an x,y-closed span it is
+    the RREF's rows at each column's first pivot.  Exactness: entries are
+    residues between steps, and a product of polynomials truncated at x^N
+    sums at most N products below 2^32, exact in int64 for N < 2^31.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    C = rows.shape[1] // N
+    live = rows.reshape(len(rows), C, N) % p
+    live, pivots, H = live[live.any(axis=(1, 2))], [], []
+    for c in range(C):
+        nz = live[:, c] != 0
+        hit = nz.any(axis=1)
+        if not hit.any():
+            continue
+        val = np.where(hit, nz.argmax(axis=1), N)
+        i = int(val.argmin())
+        e = int(val[i])
+        pivot = _poly_mul(_series_inverse(live[i, c, e:], p)[None], live[i], N)[0] % p
+        hit[i] = False
+        if hit.any():
+            live[hit] = (live[hit] - _poly_mul(live[hit, c, e:], pivot, N)) % p
+        live[i] = 0
+        live[i, :, N - e :] = pivot[:, :e]  # x^(N-e) * pivot
+        live = live[live.any(axis=(1, 2))]
+        pivots.append((c, e))
+        H.append(pivot)
+    H = np.array(H, dtype=np.int64).reshape(len(H), C, N)
+    for k, (c, e) in enumerate(pivots):
+        if H[:k, c, e:].any():
+            H[:k] = (H[:k] - _poly_mul(H[:k, c, e:], H[k], N)) % p
+    return H.reshape(len(H), C * N)

@@ -1,13 +1,13 @@
-"""Finitely generated A-modules as explicit F_p-subspaces of A^r.
+"""Finitely generated A-modules as F_p[[x]]-lattices in Howell form.
 
-A module is a plain submodule of A^r, stored as the echelonized subspace
-`num` of the flat space F_p^(n*r*N) that it spans, closed under the x- and
-y-shift actions.  Every quantity computed here is a length, i.e. a
-difference of subspace dimensions.
-
-Length-valued outputs (graded ranks/torsions, indices, dual indices) are
-certified by recomputing at precision N+2 and demanding agreement; the
-x-truncation is an artifact and this is the stabilization check for it.
+A module M is a submodule of A^r stored as its lattice rows H: the reduced
+Howell form over F_p[x]/(x^N) (`linalg.howell`) of the y-multiples y^i g
+(i < n) of its generators, one row h_b per (y-level, component) block b
+that holds a lead.  h_b is x^(v_b) in block b, zero before it, and of
+x-degree below v_c in each later block c that holds a lead.  The
+x-multiples of the rows are an F_p-basis of M, so its length is the sum of
+N - v_b, and v is the valuation vector of its F_p[[x]]-lattice basis
+(`_valuations`).  H is unique to M; equality and hashing compare it.
 
 Coordinate layout: y-level i, component c, x-degree a  ->  (i*r + c)*N + a,
 so the y-levels are consecutive blocks of r*N columns.
@@ -16,40 +16,30 @@ Every product of a ring element with flat rows goes through one kernel:
 `_shift` multiplies rows by a monomial x^a y^i, and `_mul_rows` multiplies
 them by g as the sum of c * `_shift`(rows, a, i) over the nonzero terms of g,
 reduced mod p once at the end.  With rows and g in [0, p) that sum has at
-most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.  A whole
-multiplication matrix is `_mul_rows(g, eye(L))`: row k is g times the k-th
-grid monomial.
+most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.
 
-Modules built from rows (generators, lifts, x-division, the dual) are
-closed by `_close_rows`.  A stalk is presented by at most n generators, so
-the module they span is the F_p-span of the monomial multiples x^a y^i g.
-`_close_rows` builds it in three eliminations, with no round loop: the span
-S of the rows, the echelon basis E of the residues mod S of x*S and y*S,
-and S plus the multiples of E, one y-level per insert (its docstring has
-the argument).  The RREF of a space is unique, so the result does not
-depend on how the space was reached.
+Lifts (`lift_module`, kept in `ModuleRep.lifts`), the dual and the pure
+quotients are Howell forms too.  `num`, the RREF of M over F_p, is built
+on first use and kept: the x-multiples of h_b, reduced against the rows of
+the later blocks, are its rows at the pivots of block b, and its rows at
+each block's first pivot are H (`_lattice_rows`).  Only the filtrations,
+`indices_by_definition`, `validate` and the F_p queries read it.
 
-That RREF is already the module's F_p[[x]]-lattice (Hermite, Howell) basis:
-in an x-closed space the pivots of each (y-level, component) block run from
-some v_b to the block's end, so the rows at each block's first pivot
-(`_lattice_rows`, at most n*r) and their x-multiples form a basis.  Lifts
-and x-division over a module with no remembered generators start from these
-rows, never from the whole basis, and the isomorphism oracle writes maps in
-their coordinates.
+Length-valued outputs (graded ranks/torsions, indices, dual indices) are
+certified by recomputing at precision N+2 and demanding agreement; the
+x-truncation is an artifact and this is the stabilization check for it.
 
 Both filtrations are slices of the RREF, read off with no elimination
 (`_filtration`).  ann_M(y^k), the part of M in y^(n-k) A^r, is spanned by
 the rows whose pivot lies at level n - k or later, and y^k M by the
-y^k-shifts of the other rows, which are still in RREF.  The pure quotient
-M / M^(n-i) is realized as its isomorphic image y^(n-i) M.
-
-The graded pieces of a submodule of A, hence its indices, are read off its
-lattice valuations (`_valuations`); `indices_by_definition` recomputes the
-indices from the filtrations.  In ambient rank >= 2 they raise DomainError.
+y^k-shifts of the other rows, which are still in RREF.  The graded pieces
+of a submodule of A, hence its indices, are read off v;
+`indices_by_definition` recomputes the indices from the filtrations.  In
+ambient rank >= 2 they raise DomainError.
 
 The isomorphism oracle reads Hom(M, M') off the matrix factorization
-(f, M1, M2) that `ext.build_resolution` reads off M: a map is its values
-u_k on the generators f_k, written in the lattice coordinates of M'
+(f, M1, M2) that `ext.build_resolution` reads off H: a map is its values
+u_k on the generators f_k, written in the coordinates of H'
 (`_lattice_coords`, one triangular pass), and it is well defined exactly
 when u.M1 = 0.  That makes Hom the kernel of an (r*n)-square matrix Phi
 over F_p[x]/(x^K) (`_hom_matrix`), which `linalg.poly_eliminate` returns
@@ -60,12 +50,8 @@ K = W - v'_0 keeps every coordinate exact.  A basis row is onto exactly
 when the images of the F_p[[x]]-basis y^t f_k of M span M'/xM' (Nakayama):
 one n x n rank test mod x, with y acting on M'/xM' in lattice coordinates.
 M and M' are isomorphic exactly when some basis row passes (`_iso_at`),
-and that row is confirmed as a map.  The dual Hom(M, A) is spanned by a column of the
-same factorization (`dual_module_oracle`).
-
-`lift_module` keeps each lift on the module it lifted (`ModuleRep.lifts`),
-so certified calls repeated on one module close it at N+2 once.
-Every elimination goes through `linalg`.
+and that row is confirmed as a map.  The dual Hom(M, A) is spanned by a
+column of the same factorization (`dual_module_oracle`).
 """
 
 from __future__ import annotations
@@ -132,43 +118,6 @@ def _mul_rows(g: np.ndarray, rows: np.ndarray, params: RingParams, rank: int) ->
     return out % params.p
 
 
-def _close_rows(rows: np.ndarray, params: RingParams, rank: int) -> linalg.Subspace:
-    """Smallest x,y-closed subspace containing the given rows, with no round loop.
-
-    With S the span of the rows and E an echelon basis of the residues mod S
-    of the x- and y-shifts of S's basis, the closure is S plus the monomial
-    multiples x^a y^i e of E: x*s and y*s lie in S + span(E) for s in S, the
-    multiples of E are closed, and E lies in the closure.  Levels i <= n - 2
-    already suffice when n >= 2: applying the y-steps of x^a y^k (k < n)
-    first, x^a y^k s is s_k in S plus multiples x^a y^(k-j) e_j, j >= 1, from
-    the y-steps and x^(a-l) f_l from the x-steps, with e_j, f_l in span(E).
-
-    One insert per level: level 0 is every x^a e (len(E) * N rows), and
-    level i is y times the basis rows that level i - 1 added.  With V_i the
-    space after level i, y * S lies in V_0 and, by induction, y * V_(i-1) in
-    V_i (V_(i-1) is V_(i-2) plus the rows level i - 1 added), so
-    x^a y^i e = y * x^a y^(i-1) e lies in V_i.  A level that adds nothing
-    leaves a y-closed space holding every multiple of E, so the closure is
-    reached.  Later levels thus shrink with the rows still missing, and a
-    closure makes at most 1 + max(n - 1, 1) inserts.
-    """
-    width = rank * params.n * params.N
-    sub = linalg.span(rows, params.p, width)
-    basis = sub.rows()
-    shifts = np.vstack([_shift(basis, params, rank, 1, 0), _shift(basis, params, rank, 0, 1)])
-    extra = linalg.echelon(sub.reduce(shifts), params.p)
-    if not len(extra):  # S is closed already
-        return sub
-    block = np.vstack([_shift(extra, params, rank, a, 0) for a in range(params.N)])
-    for _ in range(max(params.n - 1, 1)):
-        before = sub.pivots
-        if not sub.insert(block):
-            break
-        added = sub.rows()[~np.isin(sub.pivots, before)]
-        block = _shift(added, params, rank, 0, 1)
-    return sub
-
-
 def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
     """The RREF rows at the first pivot of each (y-level, component) block
     of an x-closed space: at most n*r rows, read off with no elimination.
@@ -179,27 +128,49 @@ def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
     return sub.rows()[np.flatnonzero(np.diff(block, prepend=-1))]
 
 
-def _pad_rows(rows: np.ndarray, params: RingParams, rank: int, big: RingParams) -> np.ndarray:
-    arr = rows.reshape(-1, params.n, rank, params.N)
-    out = np.zeros(arr.shape[:3] + (big.N,), dtype=np.int64)
-    out[..., : params.N] = arr
-    return out.reshape(arr.shape[0], params.n * rank * big.N)
-
-
 # -- the module representation ------------------------------------------
 
 
+def _span(rows: np.ndarray, params: RingParams, rank: int) -> np.ndarray:
+    """The lattice rows of the A-span of flat rows: the Howell form of their
+    y-multiples y^i g (i < n), whose F_p[x]-span it is."""
+    ys = np.vstack([_shift(rows, params, rank, 0, i) for i in range(params.n)])
+    return linalg.howell(ys, params.p, params.N)
+
+
+def _leads(H: np.ndarray) -> np.ndarray:
+    return (H != 0).argmax(axis=1)
+
+
 class ModuleRep:
-    """A submodule of A^r presented by the echelon basis of its span."""
+    """A submodule of A^r stored as its lattice rows H (`linalg.howell`)."""
 
-    __slots__ = ("params", "ambient_rank", "num", "gens", "lifts")
+    __slots__ = ("params", "ambient_rank", "H", "gens", "lifts", "_num")
 
-    def __init__(self, params, ambient_rank, num, gens=None):
+    def __init__(self, params, ambient_rank, H, gens=None, num=None):
         self.params = params
         self.ambient_rank = ambient_rank
-        self.num = num
+        self.H = linalg._frozen(H)
         self.gens = gens
         self.lifts = {}  # precision -> lift, filled by `lift_module`
+        self._num = num  # the RREF, when it is known
+
+    @property
+    def num(self) -> linalg.Subspace:
+        """The RREF basis of the F_p-span, built on first use and kept: the
+        x-multiples of each lattice row, reduced from the last block on
+        against the rows already built, which they leave in RREF."""
+        if self._num is None:
+            N, p = self.params.N, self.params.p
+            sub = linalg.Subspace(p, self.width)
+            for h, v in zip(self.H[::-1], _leads(self.H)[::-1] % N):
+                # x^a h for a < N - v: windows over h's blocks, N zeros in front
+                blocks = np.pad(h.reshape(-1, N), ((0, 0), (N, 0)))
+                xs = np.lib.stride_tricks.sliding_window_view(blocks, N, axis=1)[:, N - np.arange(N - v)]
+                xs = xs.transpose(1, 0, 2).reshape(N - v, -1)
+                sub = linalg.from_rref(np.vstack([sub.reduce(xs), sub.rows()]), p)
+            self._num = sub
+        return self._num
 
     # -- basic invariants ------------------------------------------
 
@@ -208,10 +179,10 @@ class ModuleRep:
         return self.ambient_rank * self.params.n * self.params.N
 
     def length(self) -> int:
-        return self.num.dim
+        return int(np.sum(self.params.N - _leads(self.H) % self.params.N))
 
     def is_zero(self) -> bool:
-        return self.length() == 0
+        return not len(self.H)
 
     def basis_vectors(self) -> list[tuple[RingElem, ...]]:
         return [unflatten(r, self.params, self.ambient_rank) for r in self.num.rows()]
@@ -235,29 +206,21 @@ class ModuleRep:
         if not isinstance(other, ModuleRep):
             return NotImplemented
         return (self.params == other.params and self.ambient_rank == other.ambient_rank
-                and self.num == other.num)
+                and np.array_equal(self.H, other.H))
 
     def __hash__(self):
-        return hash((self.params, self.ambient_rank, self.num))
+        return hash((self.params, self.ambient_rank, self.H.tobytes()))
 
 
 def span_from_generators(gens, params: RingParams | None = None, ambient_rank: int | None = None) -> ModuleRep:
     """Smallest x,y-closed subspace of A^r containing the generators."""
-    norm = []
-    for g in gens:
-        vec = (g,) if isinstance(g, RingElem) else tuple(g)
-        norm.append(vec)
-    if norm:
-        rank = ambient_rank or len(norm[0])
-        par = params or norm[0][0].params
-    else:
-        if params is None:
-            raise ParameterMismatch("params are required to build the zero module")
-        rank = ambient_rank or 1
-        par = params
-    rows = np.array([flatten(v, par, rank) for v in norm], dtype=np.int64) if norm else np.zeros((0, rank * par.n * par.N), dtype=np.int64)
-    num = _close_rows(rows, par, rank)
-    return ModuleRep(par, rank, num, gens=tuple(tuple(v) for v in norm))
+    norm = [(g,) if isinstance(g, RingElem) else tuple(g) for g in gens]
+    if not norm and params is None:
+        raise ParameterMismatch("params are required to build the zero module")
+    rank = ambient_rank or (len(norm[0]) if norm else 1)
+    par = params or norm[0][0].params
+    rows = np.array([flatten(v, par, rank) for v in norm], dtype=np.int64).reshape(len(norm), rank * par.n * par.N)
+    return ModuleRep(par, rank, _span(rows, par, rank), gens=tuple(tuple(v) for v in norm))
 
 
 def zero_module(params: RingParams, ambient_rank: int = 1) -> ModuleRep:
@@ -271,17 +234,16 @@ def full_ring(params: RingParams) -> ModuleRep:
 def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     """Reinstantiate M at a higher x-precision.
 
-    The lift is the closure of `_generator_rows`(M) (the remembered
-    generators, which are carried over, else the lattice rows), padded with
-    zero top x-degrees that the x-action regains.  In rank 1 this is the
-    closure of the whole padded basis: every block with a pivot gains
-    exactly the new top degrees.  At M's own precision this is M itself; a
-    lower precision raises DomainError.
+    The lift is the span of `_generator_rows`(M) (the remembered generators,
+    which are carried over, else the lattice rows), padded with zero top
+    x-degrees that the x-action regains.  In rank 1 this is the span of the
+    whole padded basis: every block with a pivot gains exactly the new top
+    degrees.  At M's own precision this is M itself; a lower precision
+    raises DomainError.
 
     Each lift is kept in M.lifts, with no eviction, and returned again, so
-    certified calls repeated on one module close it at N+2 once.  Sharing is
-    safe: `Subspace` arrays are read-only and no ModuleRep field is
-    reassigned.
+    certified calls repeated on one module build it at N+2 once.  Sharing is
+    safe: the arrays are read-only and no ModuleRep field is reassigned.
     """
     if N_new < M.params.N:
         raise DomainError(f"cannot lift a module at N={M.params.N} down to N={N_new}")
@@ -291,9 +253,10 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
         return M.lifts[N_new]
     par, rank = M.params, M.ambient_rank
     big = par.with_precision(N_new)
-    num = _close_rows(_pad_rows(_generator_rows(M), par, rank, big), big, rank)
+    rows = np.pad(_generator_rows(M).reshape(-1, par.n * rank, par.N), ((0, 0), (0, 0), (0, N_new - par.N)))
+    H = _span(rows.reshape(len(rows), rank * big.n * N_new), big, rank)
     gens = None if M.gens is None else tuple(tuple(e.lift(big) for e in vec) for vec in M.gens)
-    M.lifts[N_new] = lift = ModuleRep(big, rank, num, gens)
+    M.lifts[N_new] = lift = ModuleRep(big, rank, H, gens)
     return lift
 
 
@@ -323,12 +286,14 @@ def _filtration(M: ModuleRep, which: str) -> list[linalg.Subspace]:
 
 def first_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain M = M_0 >= yM >= ... >= y^(n-1)M >= M_n = 0."""
-    return [ModuleRep(M.params, M.ambient_rank, sub) for sub in _filtration(M, "first")]
+    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(sub, M.params), num=sub)
+            for sub in _filtration(M, "first")]
 
 
 def second_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain 0 = M^(0) <= M^(1) <= ... <= M^(n) = M, M^(i) = ann_M(y^i)."""
-    return [ModuleRep(M.params, M.ambient_rank, sub) for sub in _filtration(M, "second")]
+    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(sub, M.params), num=sub)
+            for sub in _filtration(M, "second")]
 
 
 def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
@@ -337,34 +302,23 @@ def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
         raise ParameterMismatch("quotient operands live in different ambients")
     if not Msub.num.leq(M.num):
         raise ContainmentError("second module is not a submodule of the first")
-    return M.num.dim - Msub.num.dim
-
-
-def divide_by_x_power(M: ModuleRep, s: int) -> ModuleRep:
-    """x^(-s) * M for a module all of whose elements x^s divides."""
-    if s == 0:
-        return M
-    params, rank = M.params, M.ambient_rank
-    # every element is an F_p-combination of x-multiples of the lattice rows
-    rows = _lattice_rows(M.num, params).reshape(-1, params.n, rank, params.N)
-    if rows[..., :s].any():
-        raise DomainError(f"module is not divisible by x^{s}")
-    out = np.zeros_like(rows)
-    out[..., : params.N - s] = rows[..., s:]
-    return ModuleRep(params, rank, _close_rows(out.reshape(-1, M.width), params, rank))
+    return M.length() - Msub.length()
 
 
 def pure_quotient(M: ModuleRep, i: int) -> ModuleRep:
     """M / M^(n-i), the unique torsion-free quotient living in depth i, as
-    y^(n-i) M: multiplying by y^(n-i) has kernel ann_M(y^(n-i)) = M^(n-i)."""
-    par, n = M.params, M.params.n
+    y^(n-i) M: multiplying by y^(n-i) has kernel ann_M(y^(n-i)) = M^(n-i).
+    Its lattice rows are the y^(n-i)-shifts of M's below level i, as the
+    y^(n-i)-shifts of M's RREF rows below level i are its RREF (`_filtration`)."""
+    par, n, rank = M.params, M.params.n, M.ambient_rank
     if not 1 <= i <= n:
         raise DomainError(f"pure quotient depth must be in [1, {n}], got {i}")
     gens = None
     if M.gens is not None:
         y = RingElem.monomial(par, 1, 0, n - i)
         gens = tuple(tuple(y * e for e in vec) for vec in M.gens)
-    return ModuleRep(par, M.ambient_rank, _filtration(M, "first")[n - i], gens)
+    H = M.H[_leads(M.H) < i * rank * par.N]
+    return ModuleRep(par, rank, _shift(H, par, rank, 0, n - i), gens)
 
 
 # -- graded pieces, ranks, torsion --------------------------------------
@@ -386,15 +340,12 @@ class GradedReport:
 
 
 def _valuations(M: ModuleRep) -> tuple[int, ...]:
-    """The x-degree of the first pivot in each occupied y-level block of the
-    RREF, lowest level first: the valuations v of M's F_p[[x]]-lattice basis.
-    y maps a row with pivot x^a at level l to one with pivot x^a at level
-    l + 1, so the occupied levels are n - m .. n - 1 and v never grows."""
+    """The x-degree of the lead of each lattice row, lowest level first: the
+    valuations v of M's F_p[[x]]-lattice basis.  y maps a row led by x^a at
+    level l into M led by x^a at level l + 1, so the occupied levels are
+    n - m .. n - 1 and v never grows."""
     _require_rank1(M, "a graded report or index vector")
-    N = M.params.N
-    pivots = np.asarray(M.num.pivots, dtype=np.int64)
-    first = np.flatnonzero(np.diff(pivots // N, prepend=-1))
-    return tuple(int(a) for a in pivots[first] % N)
+    return tuple(int(a) for a in _leads(M.H) % M.params.N)
 
 
 def _generator_levels(v) -> list[int]:
@@ -485,7 +436,7 @@ def _generator_rows(M: ModuleRep) -> np.ndarray:
     """Flat rows of M's remembered generators, else its lattice rows (at most
     n*r rows that generate num even as an F_p[[x]]-module)."""
     if M.gens is None:
-        return _lattice_rows(M.num, M.params)
+        return M.H
     return np.array([flatten(g, M.params, M.ambient_rank) for g in M.gens],
                     dtype=np.int64).reshape(-1, M.width)
 
@@ -536,7 +487,7 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
         col = build_resolution(lift_module(M, max(N, n * v)))[2][:, 0]
         # truncation is a ring map, so the truncated column spans the image
         rows = col.reshape(len(col), n, -1)[..., :N].reshape(len(col), n * N)
-        return ModuleRep(par, 1, _close_rows(rows, par, 1))
+        return ModuleRep(par, 1, _span(rows, par, 1))
 
     return _certified(M.params.N, dual_at, key=_indices_single)
 
@@ -546,7 +497,7 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
 
 def _lattice_coords(rows: np.ndarray, H: np.ndarray, v, K: int, p: int) -> np.ndarray:
     """Coordinates mod x^K, shape (len(rows), n, K), of flat rows of A that
-    lie in M', in the basis of M''s lattice rows H (`_lattice_rows`).
+    lie in M', in the basis of M''s lattice rows H.
 
     h'_l has level-l entry exactly x^(v'_l) and nothing below level l, so
     the coordinate c_l of w is its level-l entry over x^(v'_l) once the
@@ -599,7 +550,7 @@ def _hom_matrix(A: ModuleRep, B: ModuleRep):
     h'_m * M1[k, i], so Hom(A, B) is the left kernel of Phi."""
     from .ext import build_resolution  # ext imports modules
     par, n = A.params, A.params.n
-    H, v = _lattice_rows(B.num, par), _valuations(B)
+    H, v = B.H, _valuations(B)
     K = par.N - v[0]
     M1 = build_resolution(A)[1]
     r = len(M1)

@@ -234,10 +234,9 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     the images of the F_p[[x]]-basis y^t e_i of coker(M1), y^t a (t < j) and
     y^t (j <= t < n), lead with x^b y^t, resp. y^t, like J's Hermite basis
     (the argument in `ext`): the map is an isomorphism, and J leads with
-    x^b.  Its first RREF row e is then x^b plus y-terms of x-degree below b:
-    each level's pivots run from x-degree b or lower to the end of its
-    block, and the RREF clears them all from e.  z_h is the y^h-coefficient
-    of e, for h = 1..jbar.
+    x^b.  Its first lattice row e (`linalg.howell`) is then x^b plus y-terms
+    of x-degree below b: each later level's valuation is b or lower, and e
+    is reduced modulo it.  z_h is the y^h-coefficient of e, for h = 1..jbar.
     """
     if M.ambient_rank != 1:
         raise ShapeError("normalize_special expects a plain submodule of A")
@@ -249,7 +248,7 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     j, b = jump_position(beta)
     a = unflatten(-build_resolution(M)[1][1, 0] % params.p, params, 1)[0]
     J = span_from_generators([a, RingElem.monomial(params, 1, 0, j)])
-    e = unflatten(J.num.rows()[0], params, 1)[0]
+    e = unflatten(J.H[0], params, 1)[0]
     return SpecialNormalForm(n, b, j, tuple(e.level(h)[:b] for h in range(1, jbar(n, j) + 1)))
 
 

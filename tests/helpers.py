@@ -3,15 +3,16 @@
 These deliberately avoid the production code paths: spans are computed by
 multiplying generators with every monomial through RingElem arithmetic (or,
 for flat rows, by moving their coordinates) and row-reducing with a
-self-contained pure-Python elimination.  `x_scaled_copy` and the
-`special_stalks` strategy are the builders here: they make stalks and
-isomorphic copies through the production span.
+self-contained pure-Python elimination.  `divide_by_x_power`,
+`x_scaled_copy` and the `special_stalks` strategy are the builders here:
+they make stalks and isomorphic copies through the production span.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from multicurve.modules import ModuleRep, divide_by_x_power, span_from_generators
+from multicurve.errors import DomainError
+from multicurve.modules import ModuleRep, _span, span_from_generators
 from multicurve.normal_form import make_special_form, special_ideal
 from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
@@ -116,13 +117,28 @@ def ext1_n3_closed_form(b1, b2):
     return 2 * b2 + 2 * min(b1, b2 - b1)
 
 
+def divide_by_x_power(M, s):
+    """x^(-s) * M, with no remembered generators, for a module all of whose
+    elements x^s divides: the span of its lattice rows shifted down by s."""
+    if s == 0:
+        return M
+    params, rank = M.params, M.ambient_rank
+    # every element is an F_p-combination of x-multiples of the lattice rows
+    rows = M.H.reshape(-1, params.n, rank, params.N)
+    if rows[..., :s].any():
+        raise DomainError(f"module is not divisible by x^{s}")
+    out = np.zeros_like(rows)
+    out[..., : params.N - s] = rows[..., s:]
+    return ModuleRep(params, rank, _span(out.reshape(len(rows), M.width), params, rank))
+
+
 def x_scaled_copy(M, t_text):
     """(t / x^k) * M for the largest k such that x^k divides t * M: a copy of
     M whose generators are neither its lattice rows nor x-reduced."""
     par = M.params
     t = parse_elem(t_text, par)
     tM = span_from_generators([t * g[0] for g in M.gens], params=par)
-    rows = tM.num.rows().reshape(-1, par.n, par.N)
+    rows = tM.H.reshape(-1, par.n, par.N)
     k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
     return divide_by_x_power(tM, k)
 
@@ -146,7 +162,7 @@ def special_stalks(draw, with_partner=False):
         x = parse_elem("x", par)
         copy = span_from_generators([x * g[0] for g in M.gens], params=par)
     else:
-        copy = ModuleRep(par, 1, M.num) if kind == "bare" else M
+        copy = ModuleRep(par, 1, M.H) if kind == "bare" else M
     if not with_partner:
         return copy
     return copy, special_ideal(make_special_form(n, b, j, draw(grid)), par)

@@ -143,6 +143,15 @@ class TestOracleCommands:
         assert code == 0
         assert (payload["local_ext1_length"], payload["closed_form"], payload["beta"]) == (12, None, [1, 2, 3])
 
+    def test_ext_below_the_minimal_precision(self, capsys, tmp_path):
+        # N = 5 < N_min: the indices at N, (3, 4), belong to the truncated
+        # module; beta and the closed form are those at the working precision
+        path = tmp_path / "low.txt"
+        path.write_text("ring n=3 N=5 p=2 rank=1\nx^4 + y\ny^2\n")
+        code, payload = run_json(capsys, ["ext", str(path)])
+        assert code == 0
+        assert (payload["local_ext1_length"], payload["closed_form"], payload["beta"]) == (8, 8, [0, 4])
+
     @pytest.mark.parametrize("gens", ["y", "x*y\ny^2"])
     def test_ext_on_a_proper_subcurve_is_invalid_input(self, capsys, tmp_path, gens):
         # (y) lives on C_2 only: its Ext^1 has infinite length

@@ -121,7 +121,7 @@ def _record(M, other, *, special):
         "ext1": _or_error(lambda: local_ext1_length(M)),
     }
     if M.width <= 64:
-        rec["dual_gensless"] = _dual_record(ModuleRep(M.params, 1, M.num))
+        rec["dual_gensless"] = _dual_record(ModuleRep(M.params, 1, M.H))
     if special:
         rec["normal_form"] = normalize_special(M).to_json()
     same = _disguised(M, "1 + x + x*y")

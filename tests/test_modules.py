@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_span_dim, special_stalks
+from helpers import ext1_special_closed_form, naive_closure, naive_span_dim, special_stalks
 
 from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, VerificationError
-from multicurve.ext import build_resolution
+from multicurve.ext import build_resolution, local_ext1_length
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
     _certified,
-    _close_rows,
     _from_lattice_coords,
     _generator_rows,
     _hom_kernel,
@@ -260,9 +259,9 @@ class TestIndices:
 
     def test_lift_without_generators(self, monomial_ideal):
         # the padded lattice rows are re-closed; the zero module lifts to the zero module
-        bare = ModuleRep(P3, 1, monomial_ideal.num)
+        bare = ModuleRep(P3, 1, monomial_ideal.H)
         assert lift_module(bare, P3.N + 4) == lift_module(monomial_ideal, P3.N + 4)
-        zero = ModuleRep(P3, 1, zero_module(P3).num)
+        zero = ModuleRep(P3, 1, zero_module(P3).H)
         assert lift_module(zero, P3.N + 2).is_zero()
 
     def test_lift_to_a_lower_precision_is_refused(self):
@@ -287,7 +286,7 @@ class TestIndices:
         # not keep: the lattice rows lift like the generator
         par = RingParams(2, 5, 3)
         M = span_from_generators([(RingElem.one(par), parse_elem("x^4", par))])
-        bare = ModuleRep(par, 2, M.num)
+        bare = ModuleRep(par, 2, M.H)
         assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
 
 
@@ -307,7 +306,7 @@ def normal_form_copies(draw):
     gens = [g[0] for g in M.gens]
     kind = draw(st.sampled_from(["built", "unit", "shifted", "bare", "quotient"]))
     if kind == "bare":
-        return ModuleRep(par, 1, M.num), gens
+        return ModuleRep(par, 1, M.H), gens
     if kind == "quotient":
         i = draw(st.integers(1, n))
         y = RingElem.monomial(par, 1, 0, n - i)
@@ -380,7 +379,7 @@ class TestDualOracle:
             assert indices(dual_module_oracle(M)) == dual_indices(indices(M))
 
     def test_works_without_remembered_generators(self, monomial_ideal):
-        bare = ModuleRep(P3, 1, monomial_ideal.num)
+        bare = ModuleRep(P3, 1, monomial_ideal.H)
         assert bare.gens is None
         assert indices(dual_module_oracle(bare)) == (1, 2)
 
@@ -389,7 +388,7 @@ class TestDualOracle:
         # the lattice rows stand in for the generators: same dual, same lift
         par = RingParams(n, required_precision(n, b), p)
         M = special_ideal(make_special_form(n, b, j, z), par)
-        bare = ModuleRep(par, 1, M.num)
+        bare = ModuleRep(par, 1, M.H)
         assert dual_module_oracle(bare) == dual_module_oracle(M)
         assert lift_module(bare, par.N + 2) == lift_module(M, par.N + 2)
 
@@ -448,7 +447,8 @@ def _dual_rows_by_doubling(M, N):
     is exact whenever 2N >= n*v."""
     work = M.params.with_precision(2 * N)
     M2 = lift_module(M, work.N)
-    sol = _colon(_close_rows(M2.num.rows()[:1], work, 1), M2)
+    u = np.array(naive_closure(M2.H[:1], work, 1), dtype=np.int64)
+    sol = _colon(linalg.from_rref(u, work.p), M2)
     sol = sol.reshape(-1, work.n, work.N)[..., :N].reshape(len(sol), -1)
     return linalg.span(sol, work.p, work.n * N)
 
@@ -585,6 +585,19 @@ def test_oracle_matches_the_colon_reference(pair):
         A, B = lift_module(M, N), lift_module(Mp, N)
         for S, T in ((A, B), (B, A)):
             assert is_isomorphic_oracle(S, T) == _certified(N, lambda k: _iso_by_colon(S, T, k))
+
+
+def test_a_wide_stalk_at_n_12():
+    # (x^12 + y, y^6) at N_min = 312, p = 3, which the F_p closure could not
+    # build within a test budget: every certified call meets its closed form
+    n, b, j = 12, 12, 6
+    par = RingParams(n, required_precision(n, b), 3)
+    M = special_ideal(make_special_form(n, b, j, [[1] + [0] * (b - 1)]), par)
+    assert indices(M) == (0,) * (j - 1) + (b,) * (n - j)
+    assert indices(dual_module_oracle(M)) == (0,) * (n - j - 1) + (b,) * j
+    assert local_ext1_length(M) == ext1_special_closed_form(n, j, b)
+    x = parse_elem("x", par)
+    assert is_isomorphic_oracle(M, span_from_generators([x * g[0] for g in M.gens], params=par)) == "yes"
 
 
 class TestModuleFiles:
