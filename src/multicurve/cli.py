@@ -202,11 +202,8 @@ def cmd_tangent(args) -> int:
 
 def cmd_ext(args) -> int:
     from . import ext as ext_mod
-    from .modules import indices, lift_module
     M = _load_module(args.file)
-    length = ext_mod.local_ext1_length(M)
-    # the indices at the working precision: below N_min those at N belong to the truncation
-    beta = indices(lift_module(M, ext_mod._working_precision(M, M)))
+    length, beta = ext_mod.local_ext1(M)
     _emit({
         "local_ext1_length": length,
         "closed_form": ext_mod.closed_form_ext1(M.params.n, beta),

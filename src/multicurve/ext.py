@@ -138,19 +138,26 @@ def _ext1_once(I: ModuleRep) -> int:
     return sum(_hom_kernel(phi, K, I.params)[1])
 
 
-def local_ext1_length(I: ModuleRep) -> int:
-    """Length of Ext^1(I, I), the sum of the Smith valuations of .M1 on I^r,
-    for any stalk supported on the whole curve (else NotInvertibleError).
-    Certified at W = max(N, 2*n*v_0) and W + 2, and checked against the
-    closed form of the indices at W: below N_min those at N belong to the
-    truncated module."""
+def local_ext1(I: ModuleRep) -> tuple[int, tuple[int, ...]]:
+    """The length of Ext^1(I, I), the sum of the Smith valuations of .M1 on
+    I^r, and the indices of I, both at the working precision
+    W = max(N, 2*n*v_0): below N_min the indices at N belong to the
+    truncated module.  For any stalk supported on the whole curve (else
+    NotInvertibleError); both are certified at W and W + 2, and the length
+    is checked against the closed form of the indices."""
     _require_full_invertible(I, "local_ext1_length")
     W = _working_precision(I, I)
     val = _certified(W, lambda N: _ext1_once(lift_module(I, N)))
-    expected = closed_form_ext1(I.params.n, _indices_single(lift_module(I, W)))
+    beta = _certified(W, lambda N: _indices_single(lift_module(I, N)))
+    expected = closed_form_ext1(I.params.n, beta)
     if expected is not None and expected != val:
         raise VerificationError(f"resolution Ext^1 length {val} differs from closed form {expected}")
-    return val
+    return val, beta
+
+
+def local_ext1_length(I: ModuleRep) -> int:
+    """Length of Ext^1(I, I) (`local_ext1`)."""
+    return local_ext1(I)[0]
 
 
 def closed_form_ext1(n: int, beta) -> int | None:

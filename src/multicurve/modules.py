@@ -147,13 +147,13 @@ class ModuleRep:
 
     __slots__ = ("params", "ambient_rank", "H", "gens", "lifts", "_num")
 
-    def __init__(self, params, ambient_rank, H, gens=None, num=None):
+    def __init__(self, params, ambient_rank, H, gens=None):
         self.params = params
         self.ambient_rank = ambient_rank
         self.H = linalg._frozen(H)
         self.gens = gens
         self.lifts = {}  # precision -> lift, filled by `lift_module`
-        self._num = num  # the RREF, when it is known
+        self._num = None  # the RREF, built by `num` on first use
 
     @property
     def num(self) -> linalg.Subspace:
@@ -263,37 +263,36 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
 # -- filtrations --------------------------------------------------------
 
 
-def _filtration(M: ModuleRep, which: str) -> list[linalg.Subspace]:
-    """The spans of a filtration for k = 0..n, sliced off M's RREF with no
-    elimination: y^k M ('first') or ann_M(y^k) ('second').
+def _filtration(M: ModuleRep, which: str, k: int) -> linalg.Subspace:
+    """The span of y^k M ('first') or ann_M(y^k) ('second'), sliced off M's
+    RREF with no elimination.
 
     y^k kills exactly the part of M in y^(n-k) A^r, which the RREF rows with
     a pivot at level n - k or later span.  The other rows map to rows whose
     pivots move k levels on: still an RREF basis, now of y^k M.
     """
-    par, rank = M.params, M.ambient_rank
-    n, rows = par.n, M.num.rows()
-    # cut[l]: the number of rows whose pivot lies below y-level l
-    cut = np.searchsorted(M.num.pivots, np.arange(n + 1) * rank * par.N)
+    par, rank, rows = M.params, M.ambient_rank, M.num.rows()
+    # the number of rows whose pivot lies below y-level n - k
+    cut = np.searchsorted(M.num.pivots, (par.n - k) * rank * par.N)
     if which == "first":
-        blocks = [_shift(rows[: cut[n - k]], par, rank, 0, k) for k in range(n + 1)]
+        block = _shift(rows[:cut], par, rank, 0, k)
     elif which == "second":
-        blocks = [rows[cut[n - k]:] for k in range(n + 1)]
+        block = rows[cut:]
     else:
         raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
-    return [linalg.from_rref(b, par.p) for b in blocks]
+    return linalg.from_rref(block, par.p)
 
 
 def first_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain M = M_0 >= yM >= ... >= y^(n-1)M >= M_n = 0."""
-    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(sub, M.params), num=sub)
-            for sub in _filtration(M, "first")]
+    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(_filtration(M, "first", k), M.params))
+            for k in range(M.params.n + 1)]
 
 
 def second_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain 0 = M^(0) <= M^(1) <= ... <= M^(n) = M, M^(i) = ann_M(y^i)."""
-    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(sub, M.params), num=sub)
-            for sub in _filtration(M, "second")]
+    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(_filtration(M, "second", k), M.params))
+            for k in range(M.params.n + 1)]
 
 
 def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
@@ -409,14 +408,14 @@ def indices(M: ModuleRep) -> tuple[int, ...]:
 
 def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
     # With M-bar = M / M^(m-i-1), taken on preimages in M: (M-bar)^(1) is
-    # M^(m-i), and y^i M-bar is y^i M + M^(m-i-1).
+    # M^(m-i), and y^i M-bar is y^i M + M^(m-i-1).  One shifted copy of the
+    # RREF (y^i M) is alive at a time.
     m = _support_depth(_valuations(M))
-    images, kernels = _filtration(M, "first"), _filtration(M, "second")
     out = []
     for i in range(1, m):
-        s2 = kernels[m - i - 1].copy()
-        s2.insert(images[i].rows())
-        beta = kernels[m - i].dim - s2.dim
+        s2 = _filtration(M, "second", m - i - 1)
+        s2.insert(_filtration(M, "first", i).rows())
+        beta = _filtration(M, "second", m - i).dim - s2.dim
         if beta < 0:
             raise PrecisionError("definitional index extraction unstable; raise N")
         out.append(beta)

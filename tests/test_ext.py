@@ -17,6 +17,7 @@ from multicurve.ext import (
     build_resolution,
     closed_form_ext1,
     global_ext1_dimension,
+    local_ext1,
     local_ext1_length,
 )
 from multicurve.invariants import CurveParams, dual_indices, genus
@@ -216,8 +217,10 @@ class TestLocalExtLength:
         # closed form, and the last raised PrecisionError; read at
         # W = max(N, 2*n*v_0), each equals the same generators at N_min
         I = mod(RingParams(n, N, 2), f"x^{b} + y", f"y^{j}")
-        assert local_ext1_length(I) == value
-        assert local_ext1_length(lift_module(I, required_precision(n, b))) == value
+        big = lift_module(I, required_precision(n, b))
+        assert local_ext1_length(I) == local_ext1_length(big) == value
+        # the indices come at W too: those of the module, not of its truncation
+        assert local_ext1(I) == (value, indices(big))
 
     def test_special_grid(self):
         for p in (2, 3):
