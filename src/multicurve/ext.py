@@ -24,7 +24,7 @@ which is free of rank n: coker(M1) maps onto I by an isomorphism, and M1
 presents I.  det M1 = y^n, so (M1, adj M1) is a matrix factorization of y^n
 and gives a 2-periodic resolution over R = S/(y^n) (Eisenbud 1980,
 "Homological algebra on a complete intersection").  The identities
-f.M1 = M1.M2 = M2.M1 = 0 are checked exactly on construction.
+f.M1 = M1.M2 = M2.M1 = 0 are checked exactly once per module, and kept.
 
 For a free stalk this is r = 1, M1 = (y^n) = 0 and M2 = (1); for a
 single-jump stalk (x^b + alpha*y, y^j) it is r = 2, and for an n = 3
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import MissingInput, UnsupportedConfig, VerificationError
 from .invariants import CurveParams
 from .moduli import LocalConfig, PointIndices, _tangent_term, tangent_dimension
@@ -87,7 +88,9 @@ def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f, M1, M2) of the periodic resolution of a stalk on the whole curve,
     as flat rows of A of shapes (r, n*N), (r, r, n*N) and (r, r, n*N); a
     free stalk gives (f_0, [[y^n]] = 0, [[1]]).  The complex identities are
-    checked exactly."""
+    checked exactly, once: the read-only arrays are kept in I.resolution."""
+    if I.resolution is not None:
+        return I.resolution
     _require_full_invertible(I, "build_resolution")
     par = I.params
     n, N, p = par.n, par.N, par.p
@@ -125,7 +128,8 @@ def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                             for c in range(i, j)) % p
             M2[j, i] = _shift(P[j], par, 1, 0, n - ends[j] + gens[i])
     _check_complex(f, M1, M2, par)
-    return f, M1, M2
+    I.resolution = tuple(linalg._frozen(a) for a in (f, M1, M2))
+    return I.resolution
 
 
 # -- Ext^1 ------------------------------------------------------------------

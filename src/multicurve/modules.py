@@ -18,12 +18,13 @@ them by g as the sum of c * `_shift`(rows, a, i) over the nonzero terms of g,
 reduced mod p once at the end.  With rows and g in [0, p) that sum has at
 most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.
 
-Lifts (`lift_module`, kept in `ModuleRep.lifts`), the dual and the pure
-quotients are Howell forms too.  `num`, the RREF of M over F_p, is built
-on first use and kept: the x-multiples of h_b, reduced against the rows of
-the later blocks, are its rows at the pivots of block b, and its rows at
-each block's first pivot are H (`_lattice_rows`).  Only the filtrations,
-`indices_by_definition`, `validate` and the F_p queries read it.
+Lifts (`lift_module`), the dual and the pure quotients are Howell forms too.
+What depends on M alone is built on first use and kept on M: its lifts, its
+factorization (`ext.build_resolution`), y on M/xM (`_y_powers`) and `num`,
+the RREF over F_p, read only by the filtrations, `indices_by_definition`,
+`validate` and the F_p queries.  The x-multiples of h_b, reduced against the
+rows of the later blocks, are its rows at the pivots of block b, and its
+rows at each block's first pivot are H (`_lattice_rows`).
 
 Length-valued outputs (graded ranks/torsions, indices, dual indices) are
 certified by recomputing at precision N+2 and demanding agreement; the
@@ -145,7 +146,7 @@ def _leads(H: np.ndarray) -> np.ndarray:
 class ModuleRep:
     """A submodule of A^r stored as its lattice rows H (`linalg.howell`)."""
 
-    __slots__ = ("params", "ambient_rank", "H", "gens", "lifts", "_num")
+    __slots__ = ("params", "ambient_rank", "H", "gens", "lifts", "_num", "resolution", "y_powers")
 
     def __init__(self, params, ambient_rank, H, gens=None):
         self.params = params
@@ -154,6 +155,7 @@ class ModuleRep:
         self.gens = gens
         self.lifts = {}  # precision -> lift, filled by `lift_module`
         self._num = None  # the RREF, built by `num` on first use
+        self.resolution = self.y_powers = None  # filled by `ext.build_resolution`, `_y_powers`
 
     @property
     def num(self) -> linalg.Subspace:
@@ -243,7 +245,7 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
 
     Each lift is kept in M.lifts, with no eviction, and returned again, so
     certified calls repeated on one module build it at N+2 once.  Sharing is
-    safe: the arrays are read-only and no ModuleRep field is reassigned.
+    safe: the arrays are read-only, and each kept field is filled once.
     """
     if N_new < M.params.N:
         raise DomainError(f"cannot lift a module at N={M.params.N} down to N={N_new}")
@@ -568,17 +570,25 @@ def _hom_kernel(phi: np.ndarray, K: int, params: RingParams):
     return u, valuations
 
 
+def _y_powers(B: ModuleRep) -> np.ndarray:
+    """Y^t (t < n), Y = y on B / xB in lattice coordinates; kept in B.y_powers."""
+    if B.y_powers is None:
+        n, p = B.params.n, B.params.p
+        Y = _lattice_coords(_shift(B.H, B.params, 1, 0, 1), B.H, _valuations(B), 1, p)[..., 0]
+        powers = [np.eye(n, dtype=np.int64)]
+        for _ in range(1, n):
+            powers.append(powers[-1] @ Y % p)
+        B.y_powers = linalg._frozen(np.array(powers))
+    return B.y_powers
+
+
 def _iso_at(A: ModuleRep, B: ModuleRep) -> str:
     from .ext import _matmul  # ext imports modules
     n, p, W = A.params.n, A.params.p, A.params.N
     phi, M1, H, K = _hom_matrix(A, B)
     u = _hom_kernel(phi, K, A.params)[0].reshape(n, len(M1), n, K)
     gaps = np.diff(_generator_levels(_valuations(A)) + [n])
-    # y on B / xB in lattice coordinates, and its powers below n
-    Y = _lattice_coords(_shift(H, A.params, 1, 0, 1), H, _valuations(B), 1, p)[..., 0]
-    powers = [np.eye(n, dtype=np.int64)]
-    for _ in range(1, n):
-        powers.append(powers[-1] @ Y % p)
+    powers = _y_powers(B)
     # The y^t f_k (t < d_k) are an F_p[[x]]-basis of M, so by Nakayama the
     # map u is onto exactly when their images (u_k mod x) Y^t span B / xB.
     # The maps that are not onto form a subspace of Hom: all of it if M and

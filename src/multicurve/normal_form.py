@@ -286,19 +286,20 @@ def enumerate_invertible_modules(n: int, beta_max: int, params: RingParams,
     """All normal-form ideals with beta <= beta_max; oracle-flagged duplicates.
 
     The alpha-parametrization is only reduced modulo the presentation's
-    stated ambiguity, so distinct forms can still be isomorphic; every
-    same-beta pair is therefore checked with the isomorphism oracle.
+    stated ambiguity, so distinct forms can still be isomorphic; each form
+    is checked with the isomorphism oracle against the earlier class
+    representatives of its beta, the first entry of each class.
     """
     forms = list(iter_normal_forms(n, beta_max, params.p))
     if len(forms) > ceiling:
         raise EnumerationLimit(f"{len(forms)} normal forms exceed the ceiling {ceiling}")
     out: list[EnumeratedModule] = []
-    by_beta: dict[tuple[int, ...], list[int]] = {}
+    reps: dict[tuple[int, ...], list[int]] = {}
     for form in forms:
         mod = ideal_from_indices(form, params)
-        dup = next((prev for prev in by_beta.get(form.beta, [])
+        dup = next((prev for prev in reps.get(form.beta, [])
                     if is_isomorphic_oracle(mod, out[prev].module) == "yes"), None)
-        entry = EnumeratedModule(form, mod, dup)
-        by_beta.setdefault(form.beta, []).append(len(out))
-        out.append(entry)
+        if dup is None:
+            reps.setdefault(form.beta, []).append(len(out))
+        out.append(EnumeratedModule(form, mod, dup))
     return out

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from multicurve.errors import DomainError
-from multicurve.modules import ModuleRep, _span, span_from_generators
+from multicurve.modules import ModuleRep, _span, span_from_generators, unflatten
 from multicurve.normal_form import make_special_form, special_ideal
 from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
@@ -134,10 +134,12 @@ def divide_by_x_power(M, s):
 
 def x_scaled_copy(M, t_text):
     """(t / x^k) * M for the largest k such that x^k divides t * M: a copy of
-    M whose generators are neither its lattice rows nor x-reduced."""
+    M whose generators are neither its lattice rows nor x-reduced.  A module
+    with no remembered generators is scaled through its lattice rows."""
     par = M.params
     t = parse_elem(t_text, par)
-    tM = span_from_generators([t * g[0] for g in M.gens], params=par)
+    gens = M.gens or [unflatten(h, par, 1) for h in M.H]
+    tM = span_from_generators([t * g[0] for g in gens], params=par)
     rows = tM.H.reshape(-1, par.n, par.N)
     k = min(int(np.flatnonzero(row.any(axis=0))[0]) for row in rows)
     return divide_by_x_power(tM, k)

@@ -181,6 +181,59 @@ class TestBuildResolution:
             local_ext1_length(mod(par, *gens))
 
 
+class TestKeptFactorization:
+    def test_kept_and_read_only(self):
+        M = mod(RingParams(3, 18, 2), "x^2+y", "x*y", "y^2")
+        res = build_resolution(M)
+        assert build_resolution(M) is res and M.resolution is res
+        for a in res:
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_a_lift_has_its_own(self):
+        par = RingParams(3, 18, 2)
+        M = mod(par, "x^2+y", "x*y", "y^2")
+        res = build_resolution(M)
+        lift = lift_module(M, par.N + 2)
+        assert build_resolution(lift) is lift.resolution is not res
+        assert lift.resolution[0].shape == (3, 3 * (par.N + 2)) and res[0].shape == (3, 3 * par.N)
+        assert M.resolution is res
+
+    def test_a_failed_check_is_not_kept(self, monkeypatch):
+        def failing(*args):
+            raise VerificationError("resolution is not a complex")
+
+        monkeypatch.setattr("multicurve.ext._check_complex", failing)
+        M = mod(RingParams(3, 18, 2), "x^2+y", "x*y", "y^2")
+        for _ in range(2):
+            with pytest.raises(VerificationError):
+                build_resolution(M)
+        assert M.resolution is None
+
+    def test_one_check_per_module(self, monkeypatch):
+        # the dual, Ext^1, the oracle both ways and the normal form, twice:
+        # each module (M, its partner, their lifts) is checked exactly once
+        checked = []
+
+        def spy(f, M1, M2, params):
+            checked.append(f)
+            _check_complex(f, M1, M2, params)
+
+        monkeypatch.setattr("multicurve.ext._check_complex", spy)
+        par = RingParams(4, required_precision(4, 2), 3)
+        M = special_ideal(make_special_form(4, 2, 2, [[1, 1]]), par)
+        x = parse_elem("x", par)
+        partner = span_from_generators([x * g[0] for g in M.gens], params=par)
+        for _ in range(2):
+            dual_module_oracle(M)
+            local_ext1(M)
+            assert is_isomorphic_oracle(M, partner) == is_isomorphic_oracle(partner, M) == "yes"
+            normalize_special(M)
+        kept = [S for T in (M, partner) for S in (T, *T.lifts.values()) if S.resolution is not None]
+        assert len(kept) >= 4 and len(checked) == len(kept)
+        assert all(any(S.resolution[0] is f for f in checked) for S in kept)
+
+
 class TestLocalExtLength:
     def test_ribbon_values(self):
         for b in (1, 2, 3):

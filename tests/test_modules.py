@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ext1_special_closed_form, naive_closure, naive_span_dim, special_stalks
+from helpers import ext1_special_closed_form, naive_closure, naive_span_dim, special_stalks, x_scaled_copy
 
 from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, VerificationError
-from multicurve.ext import build_resolution, local_ext1_length
+from multicurve.ext import build_resolution, local_ext1, local_ext1_length
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
@@ -34,7 +34,13 @@ from multicurve.modules import (
     unflatten,
     zero_module,
 )
-from multicurve.normal_form import ideal_from_indices, make_general_form, make_special_form, special_ideal
+from multicurve.normal_form import (
+    ideal_from_indices,
+    make_general_form,
+    make_special_form,
+    normalize_special,
+    special_ideal,
+)
 from multicurve.ring import RingElem, RingParams, parse_elem, required_precision
 
 P3 = RingParams(3, 18, 2)
@@ -585,6 +591,29 @@ def test_oracle_matches_the_colon_reference(pair):
         A, B = lift_module(M, N), lift_module(Mp, N)
         for S, T in ((A, B), (B, A)):
             assert is_isomorphic_oracle(S, T) == _certified(N, lambda k: _iso_by_colon(S, T, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(special_stalks(with_partner=True).filter(lambda pair: pair[0].params.n >= 3))
+def test_kept_fields_change_no_answer(pair):
+    # a stalk and its x-scaled copy, asked twice each, with their lifts,
+    # factorizations and y-actions kept, against bare copies that keep nothing
+    M, partner = pair
+    X = x_scaled_copy(M, "x^2+y")
+
+    def bare(S):
+        return ModuleRep(S.params, 1, S.H)
+
+    def answers(S, T, P):
+        return (is_isomorphic_oracle(S, T), is_isomorphic_oracle(S, P),
+                indices(dual_module_oracle(S)), local_ext1(S), normalize_special(S))
+
+    for S, T in ((M, X), (X, M)):
+        first = answers(S, T, partner)
+        assert S.resolution is not None
+        assert any(L.y_powers is not None for L in (T, *T.lifts.values()))
+        assert answers(S, T, partner) == first == answers(bare(S), bare(T), bare(partner))
+    assert first[0] == "yes"
 
 
 def test_a_wide_stalk_at_n_12():

@@ -262,6 +262,29 @@ class TestEnumeration:
             assert beta == e.form.beta
             assert list(beta) == sorted(beta)
 
+    @pytest.mark.parametrize("n,top,p", [(4, 2, 2), (3, 3, 3)])
+    def test_representatives_only_match_all_pairs(self, n, top, p, monkeypatch):
+        # the reference compares every same-beta pair; the enumeration asks
+        # the oracle only about earlier representatives, with the same entries
+        calls = []
+
+        def spy(M, Mp):
+            calls.append((M, Mp))
+            return is_isomorphic_oracle(M, Mp)
+
+        monkeypatch.setattr("multicurve.normal_form.is_isomorphic_oracle", spy)
+        entries = enumerate_invertible_modules(n, top, RingParams(n, required_precision(n, top), p))
+        iso = {(a, b): is_isomorphic_oracle(entries[a].module, entries[b].module) == "yes"
+               for a, b in itertools.combinations(range(len(entries)), 2)
+               if entries[a].form.beta == entries[b].form.beta}
+        expected, asked = [], 0
+        for k, e in enumerate(entries):
+            expected.append(next((a for a in range(k) if iso.get((a, k))), None))
+            reps = [a for a in range(k) if expected[a] is None and entries[a].form.beta == e.form.beta]
+            asked += len(reps) if expected[k] is None else reps.index(expected[k]) + 1
+        assert [e.duplicate_of for e in entries] == expected
+        assert len(calls) == asked < len(iso)
+
     def test_ceiling(self):
         with pytest.raises(EnumerationLimit):
             enumerate_invertible_modules(4, 3, RingParams(4, 32, 2), ceiling=10)
