@@ -16,20 +16,12 @@ never in float64 (exact only while K * (p - 1)^2 < 2^53, i.e. K < 2^21 at
 p = 65521), so no computation here ever rounds.
 
 Every product with a basis, `out - coef @ basis` in `_subtract_product`,
-takes one of two paths, chosen by the density of coef (its nonzeros over
-its entries):
-- below DENSE_FROM (0.25), a gather: the basis rows that the nonzero
-  coefficients touch are scaled and summed per target row, in chunks of at
-  most GATHER_ENTRIES temporary entries.  A target row then holds a residue
-  minus at most K products, each below 2^32, so it stays above -K * 2^32;
-  exact for K < 2^31.
-- from DENSE_FROM on, the plain int64 product coef @ basis, whose entries
-  are sums of K products below 2^32; exact for the same K < 2^31.
-The gather costs per nonzero and the product per entry.  Measured with
-int64 numpy on 2 cores, the gather stops being faster at a density of about
-0.1 on 150 x 150 coefficients against 300 columns and at 0.35-0.45 on
-300-1,000 rows; at 0.25 neither path is more than 2.5x slower than the
-other.  Both paths give the same residues, so the choice moves time only.
+takes one path, a gather: the basis rows that the nonzero coefficients
+touch are scaled and summed per target row, in chunks of at most
+GATHER_ENTRIES temporary entries.  A target row then holds a residue minus
+at most K products, each below 2^32, so it stays above -K * 2^32; exact for
+K < 2^31.  Its cost grows with the nonzeros, and the coefficients it gets
+(residues against the RREF of an x,y-closed space) are mostly zero.
 """
 
 from __future__ import annotations
@@ -76,28 +68,23 @@ def _rref(mat, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 GATHER_ENTRIES = 1 << 16  # entries of the gather temporary in `_subtract_product` (512 KB)
-DENSE_FROM = 0.25  # density of the coefficients from which the plain product is cheaper
 
 
 def _subtract_product(out: np.ndarray, coef: np.ndarray, basis: np.ndarray, p: int) -> None:
     """out <- (out - coef @ basis) mod p, in place.
 
     The coefficients are mostly zero (basis rows of x,y-closed spaces are
-    nearly monomial), so below DENSE_FROM nonzeros per entry only the basis
-    rows they touch are gathered and summed per target row, in chunks of at
-    most GATHER_ENTRIES temporary entries; a target row split between two
-    chunks gets its two partial sums subtracted in turn.  Denser blocks take
-    the plain int64 product, whose cost does not depend on the zeros.
+    nearly monomial), so only the basis rows they touch are gathered and
+    summed per target row, in chunks of at most GATHER_ENTRIES temporary
+    entries; a target row split between two chunks gets its two partial sums
+    subtracted in turn.
     """
     i, j = coef.nonzero()
-    if i.size > DENSE_FROM * coef.size:
-        out -= coef @ basis
-    else:
-        step = max(1, GATHER_ENTRIES // max(1, basis.shape[1]))
-        for lo in range(0, i.size, step):
-            ci, cj = i[lo : lo + step], j[lo : lo + step]
-            first = np.flatnonzero(np.diff(ci, prepend=-1))  # ci is sorted
-            out[ci[first]] -= np.add.reduceat(coef[ci, cj, None] * basis[cj], first)
+    step = max(1, GATHER_ENTRIES // max(1, basis.shape[1]))
+    for lo in range(0, i.size, step):
+        ci, cj = i[lo : lo + step], j[lo : lo + step]
+        first = np.flatnonzero(np.diff(ci, prepend=-1))  # ci is sorted
+        out[ci[first]] -= np.add.reduceat(coef[ci, cj, None] * basis[cj], first)
     out %= p
 
 

@@ -18,25 +18,28 @@ them by g as the sum of c * `_shift`(rows, a, i) over the nonzero terms of g,
 reduced mod p once at the end.  With rows and g in [0, p) that sum has at
 most L = n*N terms, each below p^2 < 2^32, so it is exact in int64.
 
+A module built from generators keeps them as flat rows too (`gen_rows`,
+read-only); `gens` unflattens them into ring elements only when asked.
+
 Lifts (`lift_module`), the dual and the pure quotients are Howell forms too.
 What depends on M alone is built on first use and kept on M: its lifts, its
 factorization (`ext.build_resolution`), y on M/xM (`_y_powers`) and `num`,
-the RREF over F_p, read only by the filtrations, `indices_by_definition`,
-`validate` and the F_p queries.  The x-multiples of h_b, reduced against the
-rows of the later blocks, are its rows at the pivots of block b, and its
-rows at each block's first pivot are H (`_lattice_rows`).
+the RREF over F_p, read only by `indices_by_definition`, `validate` and the
+F_p queries.  The x-multiples of h_b, reduced against the rows of the later
+blocks, are its rows at the pivots of block b.
 
 Length-valued outputs (graded ranks/torsions, indices, dual indices) are
 certified by recomputing at precision N+2 and demanding agreement; the
 x-truncation is an artifact and this is the stabilization check for it.
 
-Both filtrations are slices of the RREF, read off with no elimination
-(`_filtration`).  ann_M(y^k), the part of M in y^(n-k) A^r, is spanned by
-the rows whose pivot lies at level n - k or later, and y^k M by the
-y^k-shifts of the other rows, which are still in RREF.  The graded pieces
-of a submodule of A, hence its indices, are read off v;
-`indices_by_definition` recomputes the indices from the filtrations.  In
-ambient rank >= 2 they raise DomainError.
+Both filtrations are slices of H, read off with no elimination (`_piece`).
+ann_M(y^k), the part of M in y^(n-k) A^r, is spanned by the rows of H led at
+level n - k or later, and y^k M by the y^k-shifts of the other rows, which
+are still in reduced Howell form.  `indices_by_definition` slices the RREF
+the same way (`_filtration`), so the definitional check does not rest on the
+lattice.  The graded pieces of a submodule of A, hence its indices, are read
+off v; `indices_by_definition` recomputes the indices from the filtrations.
+In ambient rank >= 2 they raise DomainError.
 
 The isomorphism oracle reads Hom(M, M') off the matrix factorization
 (f, M1, M2) that `ext.build_resolution` reads off H: a map is its values
@@ -119,16 +122,6 @@ def _mul_rows(g: np.ndarray, rows: np.ndarray, params: RingParams, rank: int) ->
     return out % params.p
 
 
-def _lattice_rows(sub: linalg.Subspace, params: RingParams) -> np.ndarray:
-    """The RREF rows at the first pivot of each (y-level, component) block
-    of an x-closed space: at most n*r rows, read off with no elimination.
-    x moves a leading column one step along its block, so a block's pivots
-    run from some v_b to its end, and the x-multiples of these rows have dim
-    distinct leading columns: they form a basis."""
-    block = np.asarray(sub.pivots, dtype=np.int64) // params.N
-    return sub.rows()[np.flatnonzero(np.diff(block, prepend=-1))]
-
-
 # -- the module representation ------------------------------------------
 
 
@@ -144,15 +137,16 @@ def _leads(H: np.ndarray) -> np.ndarray:
 
 
 class ModuleRep:
-    """A submodule of A^r stored as its lattice rows H (`linalg.howell`)."""
+    """A submodule of A^r stored as its lattice rows H (`linalg.howell`),
+    with the flat rows of its generators when it was built from them."""
 
-    __slots__ = ("params", "ambient_rank", "H", "gens", "lifts", "_num", "resolution", "y_powers")
+    __slots__ = ("params", "ambient_rank", "H", "gen_rows", "lifts", "_num", "resolution", "y_powers")
 
-    def __init__(self, params, ambient_rank, H, gens=None):
+    def __init__(self, params, ambient_rank, H, gen_rows=None):
         self.params = params
         self.ambient_rank = ambient_rank
         self.H = linalg._frozen(H)
-        self.gens = gens
+        self.gen_rows = None if gen_rows is None else linalg._frozen(gen_rows)
         self.lifts = {}  # precision -> lift, filled by `lift_module`
         self._num = None  # the RREF, built by `num` on first use
         self.resolution = self.y_powers = None  # filled by `ext.build_resolution`, `_y_powers`
@@ -173,6 +167,13 @@ class ModuleRep:
                 sub = linalg.from_rref(np.vstack([sub.reduce(xs), sub.rows()]), p)
             self._num = sub
         return self._num
+
+    @property
+    def gens(self) -> tuple[tuple[RingElem, ...], ...] | None:
+        """The generators as vectors of ring elements, or None."""
+        if self.gen_rows is None:
+            return None
+        return tuple(unflatten(g, self.params, self.ambient_rank) for g in self.gen_rows)
 
     # -- basic invariants ------------------------------------------
 
@@ -222,7 +223,12 @@ def span_from_generators(gens, params: RingParams | None = None, ambient_rank: i
     rank = ambient_rank or (len(norm[0]) if norm else 1)
     par = params or norm[0][0].params
     rows = np.array([flatten(v, par, rank) for v in norm], dtype=np.int64).reshape(len(norm), rank * par.n * par.N)
-    return ModuleRep(par, rank, _span(rows, par, rank), gens=tuple(tuple(v) for v in norm))
+    return _from_rows(rows, par, rank)
+
+
+def _from_rows(rows: np.ndarray, params: RingParams, rank: int) -> ModuleRep:
+    """The module spanned by flat rows of residues, kept as its generators."""
+    return ModuleRep(params, rank, _span(rows, params, rank), rows)
 
 
 def zero_module(params: RingParams, ambient_rank: int = 1) -> ModuleRep:
@@ -236,9 +242,9 @@ def full_ring(params: RingParams) -> ModuleRep:
 def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     """Reinstantiate M at a higher x-precision.
 
-    The lift is the span of `_generator_rows`(M) (the remembered generators,
-    which are carried over, else the lattice rows), padded with zero top
-    x-degrees that the x-action regains.  In rank 1 this is the span of the
+    The lift is the span of `_generator_rows`(M) (the generator rows, which
+    the lift keeps, else the lattice rows), padded with zero top x-degrees
+    that the x-action regains.  In rank 1 this is the span of the
     whole padded basis: every block with a pivot gains exactly the new top
     degrees.  At M's own precision this is M itself; a lower precision
     raises DomainError.
@@ -256,18 +262,37 @@ def lift_module(M: ModuleRep, N_new: int) -> ModuleRep:
     par, rank = M.params, M.ambient_rank
     big = par.with_precision(N_new)
     rows = np.pad(_generator_rows(M).reshape(-1, par.n * rank, par.N), ((0, 0), (0, 0), (0, N_new - par.N)))
-    H = _span(rows.reshape(len(rows), rank * big.n * N_new), big, rank)
-    gens = None if M.gens is None else tuple(tuple(e.lift(big) for e in vec) for vec in M.gens)
-    M.lifts[N_new] = lift = ModuleRep(big, rank, H, gens)
+    rows = rows.reshape(len(rows), rank * big.n * N_new)
+    M.lifts[N_new] = lift = ModuleRep(big, rank, _span(rows, big, rank), None if M.gen_rows is None else rows)
     return lift
 
 
 # -- filtrations --------------------------------------------------------
 
 
+def _piece(M: ModuleRep, which: str, k: int) -> np.ndarray:
+    """The lattice rows of y^k M ('first') or ann_M(y^k) ('second'), sliced
+    off H with no elimination.
+
+    y^k kills exactly the part of M in y^(n-k) A^r, the span of the rows of H
+    led at level n - k or later (a Howell form spans every element of M that
+    vanishes before a block with the rows led from that block on).  The other
+    rows map to their y^k-shifts, led k levels on, which are still in reduced
+    Howell form: they are the RREF rows of y^k M at each block's first pivot
+    (`_filtration`).
+    """
+    par, rank = M.params, M.ambient_rank
+    low = _leads(M.H) < (par.n - k) * rank * par.N
+    if which == "first":
+        return _shift(M.H[low], par, rank, 0, k)
+    if which == "second":
+        return M.H[~low]
+    raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
+
+
 def _filtration(M: ModuleRep, which: str, k: int) -> linalg.Subspace:
     """The span of y^k M ('first') or ann_M(y^k) ('second'), sliced off M's
-    RREF with no elimination.
+    RREF with no elimination (for `indices_by_definition`).
 
     y^k kills exactly the part of M in y^(n-k) A^r, which the RREF rows with
     a pivot at level n - k or later span.  The other rows map to rows whose
@@ -287,14 +312,12 @@ def _filtration(M: ModuleRep, which: str, k: int) -> linalg.Subspace:
 
 def first_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain M = M_0 >= yM >= ... >= y^(n-1)M >= M_n = 0."""
-    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(_filtration(M, "first", k), M.params))
-            for k in range(M.params.n + 1)]
+    return [ModuleRep(M.params, M.ambient_rank, _piece(M, "first", k)) for k in range(M.params.n + 1)]
 
 
 def second_filtration(M: ModuleRep) -> list[ModuleRep]:
     """The chain 0 = M^(0) <= M^(1) <= ... <= M^(n) = M, M^(i) = ann_M(y^i)."""
-    return [ModuleRep(M.params, M.ambient_rank, _lattice_rows(_filtration(M, "second", k), M.params))
-            for k in range(M.params.n + 1)]
+    return [ModuleRep(M.params, M.ambient_rank, _piece(M, "second", k)) for k in range(M.params.n + 1)]
 
 
 def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
@@ -309,17 +332,13 @@ def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
 def pure_quotient(M: ModuleRep, i: int) -> ModuleRep:
     """M / M^(n-i), the unique torsion-free quotient living in depth i, as
     y^(n-i) M: multiplying by y^(n-i) has kernel ann_M(y^(n-i)) = M^(n-i).
-    Its lattice rows are the y^(n-i)-shifts of M's below level i, as the
-    y^(n-i)-shifts of M's RREF rows below level i are its RREF (`_filtration`)."""
+    Its lattice rows are `_piece`(M, 'first', n - i), and its generators the
+    y^(n-i)-shifts of M's."""
     par, n, rank = M.params, M.params.n, M.ambient_rank
     if not 1 <= i <= n:
         raise DomainError(f"pure quotient depth must be in [1, {n}], got {i}")
-    gens = None
-    if M.gens is not None:
-        y = RingElem.monomial(par, 1, 0, n - i)
-        gens = tuple(tuple(y * e for e in vec) for vec in M.gens)
-    H = M.H[_leads(M.H) < i * rank * par.N]
-    return ModuleRep(par, rank, _shift(H, par, rank, 0, n - i), gens)
+    gen_rows = None if M.gen_rows is None else _shift(M.gen_rows, par, rank, 0, n - i)
+    return ModuleRep(par, rank, _piece(M, "first", n - i), gen_rows)
 
 
 # -- graded pieces, ranks, torsion --------------------------------------
@@ -434,12 +453,9 @@ def indices_by_definition(M: ModuleRep) -> tuple[int, ...]:
 
 
 def _generator_rows(M: ModuleRep) -> np.ndarray:
-    """Flat rows of M's remembered generators, else its lattice rows (at most
-    n*r rows that generate num even as an F_p[[x]]-module)."""
-    if M.gens is None:
-        return M.H
-    return np.array([flatten(g, M.params, M.ambient_rank) for g in M.gens],
-                    dtype=np.int64).reshape(-1, M.width)
+    """M's generator rows, else its lattice rows (at most n*r rows that
+    generate M even as an F_p[[x]]-module)."""
+    return M.H if M.gen_rows is None else M.gen_rows
 
 
 # -- dual oracle ---------------------------------------------------------

@@ -15,6 +15,11 @@ this gives the monomial ideal (x^(beta_{n-1} - beta_i) y^i).
 Single-jump vectors (0 = beta_{j-1} < beta_j = ... = beta_{n-1} = b) have the
 two-generator model (x^b + sum_h z_h(x) y^h, y^j) with unique coefficients
 z_{h,i} once deg_x z_h < b and h <= jbar = min(j, n-j) - 1.
+
+The builders and the normalizer work on flat rows of A, as `modules` does:
+`_shift` multiplies by x^c and y^k, `_mul_rows` by alpha_{i,j}, and
+`_from_rows` builds the module.  Ring elements appear only in the text of
+an alpha (`to_json`).
 """
 
 from __future__ import annotations
@@ -23,17 +28,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, EnumerationLimit, ParameterMismatch, PrecisionError, ShapeError
 from .ext import build_resolution
 from .invariants import validate_indices
-from .modules import (
-    ModuleRep,
-    indices,
-    is_isomorphic_oracle,
-    span_from_generators,
-    unflatten,
-)
-from .ring import RingElem, RingParams, format_elem, parse_elem, parse_terms, required_precision
+from .modules import ModuleRep, _from_rows, _mul_rows, _shift, indices, is_isomorphic_oracle, unflatten
+from .ring import RingParams, format_elem, parse_terms, required_precision
 
 
 def jump_position(beta) -> tuple[int, int]:
@@ -105,7 +106,7 @@ _ALPHA_RING = RingParams(1, 64, 65521)
 
 
 def _alpha_text(coeffs) -> str:
-    return format_elem(_poly_elem(coeffs, _ALPHA_RING))
+    return format_elem(unflatten(_poly_row(coeffs, _ALPHA_RING), _ALPHA_RING, 1)[0])
 
 
 def _alpha_coeffs(text: str) -> tuple[int, ...]:
@@ -171,14 +172,14 @@ def special_form_from_json(text: str) -> SpecialNormalForm:
 # -- builders ------------------------------------------------------------
 
 
-def _poly_elem(coeffs, params: RingParams, level: int = 0) -> RingElem:
-    """sum_a coeffs[a] x^a y^level; coefficients must be residues in [0, p)
-    and degrees below N, so nothing is reduced or cut."""
+def _poly_row(coeffs, params: RingParams) -> np.ndarray:
+    """The flat row of sum_a coeffs[a] x^a in A; coefficients must be
+    residues in [0, p) and degrees below N, so nothing is reduced or cut."""
     if len(coeffs) > params.N or not all(0 <= c < params.p for c in coeffs):
         raise DomainError(f"coefficients {tuple(coeffs)} do not fit {params}")
-    grid = [[0] * params.N for _ in range(params.n)]
-    grid[level][: len(coeffs)] = [int(c) for c in coeffs]
-    return RingElem(params, grid)
+    row = np.zeros(params.n * params.N, dtype=np.int64)
+    row[: len(coeffs)] = coeffs
+    return row
 
 
 def _check_precision(params: RingParams, max_beta: int) -> None:
@@ -189,24 +190,24 @@ def _check_precision(params: RingParams, max_beta: int) -> None:
 
 
 def ideal_from_indices(nf: GeneralNormalForm, params: RingParams) -> ModuleRep:
-    """The ideal model of the presentation; its indices round-trip to nf.beta."""
+    """The ideal model of the presentation; its indices round-trip to nf.beta.
+
+    Each right hand side lies in y^(n-i+1) A, as g_j does in y^(n-j) A, so
+    its y-quotient g_i is its levels moved down one."""
     if params.n != nf.n:
         raise ParameterMismatch(f"params.n={params.n} but normal form has n={nf.n}")
-    n = nf.n
-    beta = (0,) + nf.beta  # beta[0] = 0; beta[n] treated as 0 via c_n below
+    n, N = nf.n, params.N
+    beta = (0,) + nf.beta
     _check_precision(params, max(nf.beta, default=0))
-    alpha = {pos: _poly_elem(coeffs, params) for pos, coeffs in nf.alpha}
-    x = parse_elem("x", params)
-    gens = [RingElem.monomial(params, 1, 0, n - 1)]  # g_1 = y^(n-1)
+    alpha = {pos: _poly_row(coeffs, params) for pos, coeffs in nf.alpha}
+    gens = [_shift(_poly_row((1,), params), params, 1, 0, n - 1)]  # g_1 = y^(n-1)
     for i in range(2, n + 1):
-        c_i = (beta[n - i + 1] if n - i + 1 <= n - 1 else 0) - beta[n - i]
-        rhs = (x ** c_i) * gens[i - 2]
+        rhs = _shift(gens[i - 2], params, 1, beta[n - i + 1] - beta[n - i], 0)
         for j in range(1, i - 1):
-            a = alpha.get((i, j))
-            if a is not None:
-                rhs = rhs + a * gens[j - 1]
-        gens.append(rhs.divide_y(1))
-    return span_from_generators(list(reversed(gens)), params=params)
+            if (i, j) in alpha:
+                rhs = rhs + _mul_rows(alpha[i, j], gens[j - 1], params, 1)
+        gens.append(np.concatenate([rhs[N:] % params.p, np.zeros(N, dtype=np.int64)]))
+    return _from_rows(np.array(gens[::-1]), params, 1)
 
 
 def special_ideal(nf: SpecialNormalForm, params: RingParams) -> ModuleRep:
@@ -214,10 +215,11 @@ def special_ideal(nf: SpecialNormalForm, params: RingParams) -> ModuleRep:
     if params.n != nf.n:
         raise ParameterMismatch(f"params.n={params.n} but normal form has n={nf.n}")
     _check_precision(params, nf.b)
-    lead = RingElem.monomial(params, 1, nf.b, 0)
+    one = _poly_row((1,), params)
+    lead = _shift(one, params, 1, nf.b, 0)
     for h, row in enumerate(nf.z, start=1):
-        lead = lead + _poly_elem(row, params, level=h)
-    return span_from_generators([lead, RingElem.monomial(params, 1, 0, nf.j)], params=params)
+        lead = lead + _shift(_poly_row(row, params), params, 1, 0, h)
+    return _from_rows(np.array([lead, _shift(one, params, 1, 0, nf.j)]), params, 1)
 
 
 # -- normalizer ----------------------------------------------------------
@@ -246,10 +248,10 @@ def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     if len(beta) != n - 1:
         raise ShapeError(f"module is supported on a proper subcurve (indices {beta})")
     j, b = jump_position(beta)
-    a = unflatten(-build_resolution(M)[1][1, 0] % params.p, params, 1)[0]
-    J = span_from_generators([a, RingElem.monomial(params, 1, 0, j)])
-    e = unflatten(J.H[0], params, 1)[0]
-    return SpecialNormalForm(n, b, j, tuple(e.level(h)[:b] for h in range(1, jbar(n, j) + 1)))
+    a = -build_resolution(M)[1][1, 0] % params.p
+    J = _from_rows(np.array([a, _shift(_poly_row((1,), params), params, 1, 0, j)]), params, 1)
+    e = J.H[0].reshape(n, params.N)[1 : jbar(n, j) + 1, :b]
+    return SpecialNormalForm(n, b, j, tuple(map(tuple, e.tolist())))
 
 
 # -- enumeration -----------------------------------------------------------

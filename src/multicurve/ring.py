@@ -141,14 +141,6 @@ class RingElem:
                                 target[a + b] = (target[a + b] + ca * cb) % p
         return RingElem(self.params, out)
 
-    def __pow__(self, k: int) -> "RingElem":
-        if k < 0:
-            raise DomainError("negative powers are not defined in A")
-        acc = RingElem.one(self.params)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
@@ -171,21 +163,6 @@ class RingElem:
 
     def level(self, i: int) -> tuple[int, ...]:
         return self.coeffs[i]
-
-    def divide_y(self, k: int = 1) -> "RingElem":
-        """Shift y-levels down by k. Requires vanishing below level k."""
-        if any(any(self.coeffs[i]) for i in range(min(k, self.params.n))):
-            raise DomainError("element is not divisible by y^k")
-        grid = [list(r) for r in self.coeffs[k:]] + [[0] * self.params.N] * k
-        return RingElem(self.params, grid)
-
-    def lift(self, params: RingParams) -> "RingElem":
-        """Reinterpret at higher x-precision (coefficients are unchanged)."""
-        if (params.n, params.p) != (self.params.n, self.params.p):
-            raise ParameterMismatch("lift must preserve n and p")
-        if params.N < self.params.N:
-            raise ParameterMismatch("lift cannot lower the precision")
-        return RingElem(params, self.coeffs)
 
     def __repr__(self):
         return f"RingElem({self!s})"

@@ -3,7 +3,10 @@
 These deliberately avoid the production code paths: spans are computed by
 multiplying generators with every monomial through RingElem arithmetic (or,
 for flat rows, by moving their coordinates) and row-reducing with a
-self-contained pure-Python elimination.  `divide_by_x_power`,
+self-contained pure-Python elimination.  `lattice_rows` reads the Howell
+rows off an RREF basis, and `general_form_generators` and
+`special_form_generators` solve the relations of a normal form by RingElem
+arithmetic.  `divide_by_x_power`,
 `x_scaled_copy` and the `special_stalks` strategy are the builders here:
 they make stalks and isomorphic copies through the production span.
 """
@@ -115,6 +118,58 @@ def ext1_special_closed_form(n, jump, b):
 
 def ext1_n3_closed_form(b1, b2):
     return 2 * b2 + 2 * min(b1, b2 - b1)
+
+
+def lattice_rows(sub, params: RingParams):
+    """The RREF rows at the first pivot of each (y-level, component) block
+    of an x-closed space: at most n*r rows, read off with no elimination.
+    x moves a leading column one step along its block, so a block's pivots
+    run from some v_b to its end, and the x-multiples of these rows have dim
+    distinct leading columns: they form a basis."""
+    block = np.asarray(sub.pivots, dtype=np.int64) // params.N
+    return sub.rows()[np.flatnonzero(np.diff(block, prepend=-1))]
+
+
+def _x_power(e, c):
+    """x^c * e, by moving e's coefficients c places up in x."""
+    N = e.params.N
+    return RingElem(e.params, [(0,) * min(c, N) + row[: max(N - c, 0)] for row in e.coeffs])
+
+
+def _y_quotient(e):
+    """e / y, for e in yA: its levels moved down one."""
+    assert not any(e.coeffs[0])
+    return RingElem(e.params, e.coeffs[1:])
+
+
+def _x_poly(coeffs, params, level=0):
+    """sum_a coeffs[a] x^a y^level."""
+    grid = [()] * params.n
+    grid[level] = tuple(coeffs)
+    return RingElem(params, grid)
+
+
+def general_form_generators(form, params):
+    """(g_n, ..., g_1) of a GeneralNormalForm, solved by RingElem `*` and
+    `+`: g_1 = y^(n-1), g_i = (x^(beta_(n-i+1) - beta_(n-i)) g_(i-1)
+    + sum_j alpha_(i,j) g_j) / y."""
+    n, beta, alpha = form.n, (0,) + form.beta, dict(form.alpha)
+    gens = [RingElem.monomial(params, 1, 0, n - 1)]
+    for i in range(2, n + 1):
+        rhs = _x_power(gens[-1], beta[n - i + 1] - beta[n - i])
+        for j in range(1, i - 1):
+            if (i, j) in alpha:
+                rhs = rhs + _x_poly(alpha[i, j], params) * gens[j - 1]
+        gens.append(_y_quotient(rhs))
+    return gens[::-1]
+
+
+def special_form_generators(form, params):
+    """(x^b + sum_h z_h y^h, y^j) of a SpecialNormalForm, by RingElem `+`."""
+    lead = RingElem.monomial(params, 1, form.b, 0)
+    for h, row in enumerate(form.z, start=1):
+        lead = lead + _x_poly(row, params, h)
+    return [lead, RingElem.monomial(params, 1, 0, form.j)]
 
 
 def divide_by_x_power(M, s):

@@ -1,7 +1,7 @@
 """Parity of the modules that `span_from_generators` and `lift_module` build
 from the Howell form (`linalg.howell`) with the independent closure of
 tests/helpers.py (the span of every monomial multiple, reduced by a
-pure-Python elimination), of the lattice rows `modules._lattice_rows` that
+pure-Python elimination), of the lattice rows (`helpers.lattice_rows`) that
 regenerate a closed space, and of the two filtrations of a closed space with
 their definitions.
 
@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from multicurve import linalg
 from multicurve.modules import (
-    ModuleRep, _lattice_rows, _shift, first_filtration, flatten, lift_module, second_filtration,
+    ModuleRep, _shift, first_filtration, flatten, lift_module, second_filtration,
     span_from_generators, unflatten,
 )
 from multicurve.ring import RingElem, RingParams
 
-from helpers import naive_closure, rref_rows
+from helpers import lattice_rows, naive_closure, rref_rows
 
 PRIMES = [2, 3, 65521]
 
@@ -100,7 +100,7 @@ def test_howell_matches_the_naive_lattice_rows(block):
     params, rank, rows = block
     ys = np.vstack([rows] + [_shift(rows, params, rank, 0, i) for i in range(1, params.n)])
     expected = linalg.from_rref(naive(rows, params, rank), params.p)
-    assert np.array_equal(linalg.howell(ys, params.p, params.N), _lattice_rows(expected, params))
+    assert np.array_equal(linalg.howell(ys, params.p, params.N), lattice_rows(expected, params))
 
 
 def test_y_residues_are_needed():
@@ -130,7 +130,7 @@ def test_lattice_rows_regenerate_a_closed_space(block):
     params, rank, rows = block
     M = span_of(rows, params, rank)
     sub = M.num
-    lattice = _lattice_rows(sub, params)
+    lattice = lattice_rows(sub, params)
     assert np.array_equal(lattice, M.H)
     # one row per (y-level, component) block that holds a pivot, at its first pivot
     blocks_hit = sorted({piv // params.N for piv in sub.pivots})

@@ -143,7 +143,7 @@ def plain_difference(out, coef, basis, p):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_subtract_product_matches_the_plain_product(p, data):
-    # densities on both sides of DENSE_FROM; small chunks split rows between chunks
+    # densities up to 1.0; small chunks split rows between chunks
     m, k, width = (data.draw(st.integers(0, 8)) for _ in range(3))
     density = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.6, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -160,8 +160,8 @@ def test_subtract_product_matches_the_plain_product(p, data):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_gather_with_a_row_split_between_chunks(p, monkeypatch):
-    # 6 nonzeros in 3 x 12 coefficients (density 1/6, the gather path), three
-    # per chunk: row 1 has one nonzero in the first chunk and two in the second
+    # 6 nonzeros in 3 x 12 coefficients, three per chunk: row 1 has one
+    # nonzero in the first chunk and two in the second
     coef = np.zeros((3, 12), dtype=np.int64)
     coef[0, [1, 5]] = p - 1
     coef[1, [0, 6, 11]] = [p - 2, 1, p - 1]

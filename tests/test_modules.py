@@ -370,6 +370,24 @@ class TestPureQuotient:
             pure_quotient(monomial_ideal, 4)
 
 
+class TestGeneratorRows:
+    @pytest.mark.parametrize("texts", [("x^2 + 2*y", "x*y", "y^2"), ("x, y", "y^2, 0")])
+    def test_gens_of_a_lift_and_of_the_pure_quotients(self, texts):
+        par = RingParams(3, 18, 3)
+        gens = [tuple(parse_elem(t, par) for t in text.split(",")) for text in texts]
+        M = span_from_generators(gens, params=par, ambient_rank=len(gens[0]))
+        assert M.gens == tuple(gens)
+        big = par.with_precision(par.N + 2)
+        assert lift_module(M, big.N).gens == tuple(tuple(RingElem(big, e.coeffs) for e in g) for g in gens)
+        for i in range(1, par.n + 1):
+            y = RingElem.monomial(par, 1, 0, par.n - i)
+            assert pure_quotient(M, i).gens == tuple(tuple(y * e for e in g) for g in gens)
+
+    def test_gen_rows_are_read_only(self, monomial_ideal):
+        with pytest.raises(ValueError):
+            monomial_ideal.gen_rows[0, 0] = 1
+
+
 class TestDualOracle:
     def test_dual_of_free_is_free(self):
         assert indices(dual_module_oracle(full_ring(P3))) == (0, 0)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import general_form_generators, special_form_generators
+
 from multicurve.errors import DomainError, EnumerationLimit, PrecisionError, ShapeError
 from multicurve.ext import build_resolution
 from multicurve.modules import indices, is_isomorphic_oracle, span_from_generators, unflatten
@@ -60,6 +62,44 @@ class TestIdealFromIndices:
     def test_precision_precondition(self):
         with pytest.raises(PrecisionError):
             ideal_from_indices(make_general_form(3, (2, 2)), RingParams(3, 8, 2))
+
+
+@pytest.mark.parametrize("n, top, p", [(3, 2, 2), (4, 2, 2), (5, 1, 2)])
+def test_ideal_from_indices_matches_the_ring_element_recursion(n, top, p):
+    par = RingParams(n, required_precision(n, top), p)
+    for form in iter_normal_forms(n, top, p):
+        gens = general_form_generators(form, par)
+        M = ideal_from_indices(form, par)
+        assert M.gens == tuple((g,) for g in gens)
+        assert np.array_equal(M.H, span_from_generators(gens, params=par).H)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_special_ideal_matches_the_ring_element_model(n):
+    for b, j in itertools.product((1, 2), range(1, n)):
+        par = RingParams(n, required_precision(n, b), 2)
+        for z in itertools.product((0, 1), repeat=jbar(n, j) * b):
+            form = make_special_form(n, b, j, [z[h * b:(h + 1) * b] for h in range(jbar(n, j))])
+            gens = special_form_generators(form, par)
+            M = special_ideal(form, par)
+            assert M.gens == tuple((g,) for g in gens)
+            assert np.array_equal(M.H, span_from_generators(gens, params=par).H)
+
+
+def test_builders_make_no_ring_element_product(monkeypatch):
+    # the builders and the normalizer work on flat rows alone
+    calls = []
+    mul = RingElem.__mul__
+
+    def spy(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElem, "__mul__", spy)
+    enumerate_invertible_modules(3, 2, RingParams(3, required_precision(3, 2), 2))
+    par = RingParams(5, required_precision(5, 2), 3)
+    normalize_special(special_ideal(make_special_form(5, 2, 2, [[1, 2]]), par))
+    assert calls == []
 
 
 class TestSpecialIdeal:
@@ -356,6 +396,25 @@ class TestBuildersRefuseLossyInput:
         form = make_special_form(5, 2, 2, [[7, 0]])
         with pytest.raises(DomainError):
             special_ideal(form, RingParams(5, required_precision(5, 2), 7))
+
+    @pytest.mark.parametrize("entry", [-1, 3, 4, 2**70])
+    def test_z_entry_outside_the_residues(self, entry):
+        form = make_special_form(5, 2, 2, [[0, entry]])
+        with pytest.raises(DomainError, match="do not fit"):
+            special_ideal(form, RingParams(5, required_precision(5, 2), 3))
+
+    @pytest.mark.parametrize("coeff", [-1, 3, 4, 2**70])
+    def test_alpha_coefficient_outside_the_residues(self, coeff):
+        form = make_general_form(4, (1, 3, 6), {(4, 2): (1, coeff)})
+        with pytest.raises(DomainError, match="do not fit"):
+            ideal_from_indices(form, RingParams(4, required_precision(4, 6), 3))
+
+    @pytest.mark.parametrize("coeff", [65521, 70000, -1])
+    def test_alpha_that_json_cannot_carry(self, coeff):
+        # JSON carries alpha over F_65521; a coefficient outside it is refused
+        form = make_general_form(4, (1, 2, 3), {(3, 1): (coeff,)})
+        with pytest.raises(DomainError, match="do not fit"):
+            form.to_json()
 
 
 @st.composite
