@@ -121,11 +121,6 @@ class Subspace:
     def rows(self) -> np.ndarray:
         return self._rows
 
-    def copy(self) -> "Subspace":
-        dup = Subspace(self.p, self.width)
-        dup._rows, dup._pivots = self._rows, self._pivots
-        return dup
-
     def reduce(self, rows) -> np.ndarray:
         """Residues of a vector or a block of rows modulo the row space.
 

@@ -23,10 +23,10 @@ read-only); `gens` unflattens them into ring elements only when asked.
 
 Lifts (`lift_module`), the dual and the pure quotients are Howell forms too.
 What depends on M alone is built on first use and kept on M: its lifts, its
-factorization (`ext.build_resolution`), y on M/xM (`_y_powers`) and `num`,
-the RREF over F_p, read only by `indices_by_definition`, `validate` and the
-F_p queries.  The x-multiples of h_b, reduced against the rows of the later
-blocks, are its rows at the pivots of block b.
+matrix factorization (`build_resolution`), y on M/xM (`_y_powers`) and
+`num`, the RREF over F_p, read only by `indices_by_definition`, `validate`
+and the F_p queries.  The x-multiples of h_b, reduced against the rows of
+the later blocks, are its rows at the pivots of block b.
 
 Length-valued outputs (graded ranks/torsions, indices, dual indices) are
 certified by recomputing at precision N+2 and demanding agreement; the
@@ -41,21 +41,23 @@ lattice.  The graded pieces of a submodule of A, hence its indices, are read
 off v; `indices_by_definition` recomputes the indices from the filtrations.
 In ambient rank >= 2 they raise DomainError.
 
-The isomorphism oracle reads Hom(M, M') off the matrix factorization
-(f, M1, M2) that `ext.build_resolution` reads off H: a map is its values
-u_k on the generators f_k, written in the coordinates of H'
-(`_lattice_coords`, one triangular pass), and it is well defined exactly
-when u.M1 = 0.  That makes Hom the kernel of an (r*n)-square matrix Phi
-over F_p[x]/(x^K) (`_hom_matrix`), which `linalg.poly_eliminate` returns
-as exactly n rows (`_hom_kernel`); `ext.local_ext1_length` sums the
-valuations of the same elimination for M' = M.  Both calls certify at
-W = max(N, n*(v_0 + v'_0)) (`_working_precision`) and W + 2, and
-K = W - v'_0 keeps every coordinate exact.  A basis row is onto exactly
-when the images of the F_p[[x]]-basis y^t f_k of M span M'/xM' (Nakayama):
-one n x n rank test mod x, with y acting on M'/xM' in lattice coordinates.
-M and M' are isomorphic exactly when some basis row passes (`_iso_at`),
-and that row is confirmed as a map.  The dual Hom(M, A) is spanned by a
-column of the same factorization (`dual_module_oracle`).
+A stalk on the whole curve is presented by the matrix factorization
+(f, M1, M2) of y^n that `build_resolution` reads off H and proves exact.
+The isomorphism oracle reads Hom(M, M') off it: a map is its values u_k on
+the generators f_k, written in the coordinates of H' (`_lattice_coords`,
+the one level-by-level division, which also gives M1), and it is well
+defined exactly when u.M1 = 0.  That makes Hom the kernel of an
+(r*n)-square matrix Phi over F_p[x]/(x^K) (`_hom_matrix`), which
+`linalg.poly_eliminate` returns as exactly n rows (`_hom_kernel`);
+`ext.local_ext1_length` sums the valuations of the same elimination for
+M' = M.  Both calls certify at W = max(N, n*(v_0 + v'_0))
+(`_working_precision`) and W + 2, and K = W - v'_0 keeps every coordinate
+exact.  A basis row is onto exactly when the images of the F_p[[x]]-basis
+y^t f_k of M span M'/xM' (Nakayama): one n x n rank test mod x, with y
+acting on M'/xM' in lattice coordinates.  M and M' are isomorphic exactly
+when some basis row passes (`_iso_at`), and that row is confirmed as a map.
+The dual Hom(M, A) is spanned by a column of the same factorization
+(`dual_module_oracle`).
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class ModuleRep:
         self.gen_rows = None if gen_rows is None else linalg._frozen(gen_rows)
         self.lifts = {}  # precision -> lift, filled by `lift_module`
         self._num = None  # the RREF, built by `num` on first use
-        self.resolution = self.y_powers = None  # filled by `ext.build_resolution`, `_y_powers`
+        self.resolution = self.y_powers = None  # filled by `build_resolution`, `_y_powers`
 
     @property
     def num(self) -> linalg.Subspace:
@@ -369,7 +371,7 @@ def _valuations(M: ModuleRep) -> tuple[int, ...]:
 
 
 def _generator_levels(v) -> list[int]:
-    """The levels of `ext.build_resolution`'s generators: 0 and each level where v drops."""
+    """The levels of `build_resolution`'s generators: 0 and each level where v drops."""
     return [0] + [l for l in range(1, len(v)) if v[l] < v[l - 1]]
 
 
@@ -458,6 +460,134 @@ def _generator_rows(M: ModuleRep) -> np.ndarray:
     return M.H if M.gen_rows is None else M.gen_rows
 
 
+# -- lattice coordinates and the matrix factorization ---------------------
+
+
+def _lattice_coords(rows: np.ndarray, B: np.ndarray, v, K: int, p: int) -> np.ndarray:
+    """Coordinates mod x^K, shape (len(rows), n, K), of flat rows of A in a
+    triangular F_p[[x]]-basis B of a lattice: row l of B vanishes below
+    level l, and its level-l entry is exactly x^(v_l).
+
+    The coordinate c_l of a row w is its level-l entry over x^(v_l) once
+    the c_k b_k of the levels k < l are subtracted: one triangular pass.  A
+    level-l entry that x^(v_l) does not divide means w is not in the
+    lattice (VerificationError).  c_l has W - v_l degrees; it is cut or
+    zero-padded to K.  For the lattice rows H of a module each c_l is exact
+    to degree W - v_l >= K when K <= W - v_0, and above level l, h_l
+    vanishes at the RREF's pivot columns, so its entries there have
+    x-degree below v_(l+1) and a level subtracts at most v_0 shifts.
+    """
+    n, W = len(B), B.shape[1] // len(B)
+    w, b = rows.reshape(-1, n, W) % p, B.reshape(n, n, W)
+    out = np.zeros((len(w), n, K), dtype=np.int64)
+    for l in range(n):
+        w[:, l] %= p
+        if w[:, l, : v[l]].any():
+            raise VerificationError(f"a row is not in the lattice: its y-level {l} is not divisible by x^{v[l]}")
+        c = w[:, l, v[l]:]
+        out[:, l, : W - v[l]] = c[:, :K]
+        for a in np.flatnonzero(b[l, l + 1:].any(axis=0)):
+            m = min(W - a, W - v[l])
+            w[:, l + 1:, a:a + m] -= b[l, l + 1:, a, None] * c[:, None, :m]
+    return out
+
+
+def _from_lattice_coords(c: np.ndarray, H: np.ndarray, p: int) -> np.ndarray:
+    """The flat rows sum_m c[:, m] h'_m of A: the inverse of `_lattice_coords`."""
+    n, W = len(H), H.shape[1] // len(H)
+    h, K = H.reshape(n, n, W), c.shape[2]
+    out = np.zeros((len(c), n, W), dtype=np.int64)
+    for m in range(n):
+        for a in np.flatnonzero(h[m].any(axis=0)):
+            k = min(K, W - a)
+            out[:, :, a:a + k] += h[m, :, a, None] * c[:, m, None, :k]
+    return out.reshape(len(c), n * W) % p
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, params: RingParams) -> np.ndarray:
+    """The matrix product of (s, r) and (r, t) arrays of flat rows of A."""
+    out = np.zeros((A.shape[0],) + B.shape[1:], dtype=np.int64)
+    for i, k in np.ndindex(A.shape[:2]):
+        out[i] += _mul_rows(A[i, k], B[k], params, 1)
+    return out % params.p
+
+
+def _check_complex(f: np.ndarray, M1: np.ndarray, M2: np.ndarray, params: RingParams) -> None:
+    """f.M1 = M1.M2 = M2.M1 = 0 exactly, else VerificationError."""
+    for name, prod in (("f.M1", _matmul(f[None], M1, params)),
+                       ("M1.M2", _matmul(M1, M2, params)),
+                       ("M2.M1", _matmul(M2, M1, params))):
+        if prod.any():
+            raise VerificationError(f"resolution is not a complex: {name} != 0")
+
+
+def build_resolution(I: ModuleRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, M1, M2) of the periodic resolution of a stalk on the whole curve,
+    as flat rows of A of shapes (r, n*N), (r, r, n*N) and (r, r, n*N); a
+    free stalk gives (f_0, [[y^n]] = 0, [[1]]).  The complex identities are
+    checked exactly, once: the read-only arrays are kept in I.resolution.
+
+    I's lattice rows h_l lead with x^(v_l) y^l, and v never grows
+    (`_valuations`).  The generators f_i are the rows h_(g_i) at level
+    g_0 = 0 and at each level g_i where v drops; d_i = g_(i+1) - g_i
+    (g_r = n).  The rows y^(l - g_k) f_k, g_k <= l < g_(k+1), lead with
+    x^(v_l) y^l too, so they are a triangular basis of I.  Each y^(d_i) f_i
+    lies in I and vanishes below level g_(i+1): its coordinates in that
+    basis (`_lattice_coords`) give y^(d_i) f_i = sum_(k > i) a[k, i] f_k,
+    and with
+
+        M1 = diag(y^(d_i)) - a,    M2 = adj(M1) = y^n M1^(-1),
+
+        ... -> A^r --M2--> A^r --M1--> A^r --f--> I -> 0
+
+    is the resolution.  Why it is exact: over S = F_p[[x]][y], M1 is lower
+    triangular with diagonal y^(d_i), so coker(M1) is spanned over F_p[[x]]
+    by the n elements y^t e_i, t < d_i.  Their images y^t f_i are the basis
+    above, so coker(M1) maps onto I, free of rank n, by an isomorphism, and
+    M1 presents I.  det M1 = y^n, so (M1, adj M1) is a matrix factorization
+    of y^n and gives a 2-periodic resolution over R = S/(y^n) (Eisenbud
+    1980, "Homological algebra on a complete intersection").  For a free
+    stalk this is r = 1; for a single-jump stalk (x^b + alpha*y, y^j) it is
+    r = 2, and for an n = 3 two-jump stalk r = 3.
+    """
+    if I.resolution is not None:
+        return I.resolution
+    _require_full_invertible(I, "build_resolution")
+    par = I.params
+    n, N, p = par.n, par.N, par.p
+    v = _valuations(I)
+    gens = _generator_levels(v)
+    ends = gens[1:] + [n]
+    r = len(gens)
+    f = I.H[gens]
+    one = np.zeros(n * N, dtype=np.int64)
+    one[0] = 1
+
+    basis = np.vstack([_shift(f[k], par, 1, 0, t) for k in range(r) for t in range(ends[k] - gens[k])])
+    ys = np.vstack([_shift(f[i], par, 1, 0, ends[i] - gens[i]) for i in range(r)])
+    c = _lattice_coords(ys, basis, v, N, p)
+    M1 = np.zeros((r, r, n * N), dtype=np.int64)
+    for k in range(r):
+        # a[k, i] at level t is c[i, g_k + t]; c[k] vanishes there, so the diagonal goes in after
+        M1[k, :, : (ends[k] - gens[k]) * N] = -c[:, gens[k]:ends[k]].reshape(r, -1)
+        M1[k, k] = _shift(one, par, 1, 0, ends[k] - gens[k])
+    M1 %= p
+
+    # column i of adj(M1) = y^n M1^(-1): M2[j, i] = y^(n - d_i - ... - d_j) P_j
+    # with P_i = 1 and P_j = sum_(i <= c < j) a[j, c] y^(d_(c+1) + ... + d_(j-1)) P_c
+    M2 = np.zeros_like(M1)
+    for i in range(r):
+        P = {i: one}
+        for j in range(i, r):
+            if j > i:
+                P[j] = -sum(_shift(_mul_rows(M1[j, c], P[c], par, 1), par, 1, 0, gens[j] - ends[c])
+                            for c in range(i, j)) % p
+            M2[j, i] = _shift(P[j], par, 1, 0, n - ends[j] + gens[i])
+    _check_complex(f, M1, M2, par)
+    I.resolution = tuple(linalg._frozen(a) for a in (f, M1, M2))
+    return I.resolution
+
+
 # -- dual oracle ---------------------------------------------------------
 
 
@@ -475,7 +605,7 @@ def _require_full_invertible(M: ModuleRep, what: str) -> None:
 def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     """The module of A-linear maps M -> A, realized as a submodule of A: the
     ideal spanned by column 0 of M2 in the matrix factorization (f, M1, M2)
-    of `ext.build_resolution`.
+    of `build_resolution`, kept as its generators.
 
     Why: phi -> phi(f_0) identifies Hom(M, R) with (f_0 R : M), f_0 the first
     lattice row, a nonzerodivisor x^v + y*h of minimal valuation v.  A map
@@ -494,8 +624,20 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
     column of (x^4 + y, y^2) at n = 3, N = 5, p = 3 spans a dual with indices
     (3, 4), not (4, 4).  Computed independently at N and N+2, whose index
     vectors must agree.
+
+    Lifts: D keeps the r rows of the truncated column, so `lift_module`
+    pads r rows, not n.  A lift of generators of D truncates onto D, so its
+    valuations are at least D's, and it lies in the lift of D's lattice rows,
+    the preimage of D (`lift_module`); it is that preimage once each level l
+    holds a y-multiple of a generator led there by D's valuation w_l.  Over
+    S, Hom(M, R) = im(.M2) is coker(.M1) on row vectors, spanned over
+    F_p[[x]] by the y^t e_j (t < d_j): the n rows y^t M2[j, 0] span D, one
+    at each level, so (F_p[[x]] is a domain) each leads with x^(w_l) times
+    a unit.  For N >= n*v (W = N, as at N_min) D is exact mod x^N, every
+    w_l is below N and the cut rows keep their leads: the two lifts are one
+    module, with the same certified indices.  Below n*v a cut may move a
+    lead; the tests compare the two lifts there.
     """
-    from .ext import build_resolution  # ext imports modules
     _require_full_invertible(M, "dual_module_oracle")
     n, v = M.params.n, _valuations(M)[0]
 
@@ -504,50 +646,12 @@ def dual_module_oracle(M: ModuleRep) -> ModuleRep:
         col = build_resolution(lift_module(M, max(N, n * v)))[2][:, 0]
         # truncation is a ring map, so the truncated column spans the image
         rows = col.reshape(len(col), n, -1)[..., :N].reshape(len(col), n * N)
-        return ModuleRep(par, 1, _span(rows, par, 1))
+        return _from_rows(rows, par, 1)
 
     return _certified(M.params.N, dual_at, key=_indices_single)
 
 
 # -- isomorphism oracle ---------------------------------------------------
-
-
-def _lattice_coords(rows: np.ndarray, H: np.ndarray, v, K: int, p: int) -> np.ndarray:
-    """Coordinates mod x^K, shape (len(rows), n, K), of flat rows of A that
-    lie in M', in the basis of M''s lattice rows H.
-
-    h'_l has level-l entry exactly x^(v'_l) and nothing below level l, so
-    the coordinate c_l of w is its level-l entry over x^(v'_l) once the
-    c_k h'_k of the levels k < l are subtracted: one triangular pass.  Above
-    level l, h'_l vanishes at the RREF's pivot columns, so its entries there
-    have x-degree below v'_(l+1), and a level subtracts at most v'_0 shifts.
-    Each c_l is exact to degree W - v'_l >= K for K <= W - v'_0.
-    """
-    n, W = len(H), H.shape[1] // len(H)
-    w, h = rows.reshape(-1, n, W) % p, H.reshape(n, n, W)
-    out = np.zeros((len(w), n, K), dtype=np.int64)
-    for l in range(n):
-        w[:, l] %= p
-        if w[:, l, : v[l]].any():
-            raise VerificationError("the image of a map into M' does not lie in M'")
-        c = w[:, l, v[l]:]
-        out[:, l] = c[:, :K]
-        for a in np.flatnonzero(h[l, l + 1:].any(axis=0)):
-            m = min(W - a, W - v[l])
-            w[:, l + 1:, a:a + m] -= h[l, l + 1:, a, None] * c[:, None, :m]
-    return out
-
-
-def _from_lattice_coords(c: np.ndarray, H: np.ndarray, p: int) -> np.ndarray:
-    """The flat rows sum_m c[:, m] h'_m of A: the inverse of `_lattice_coords`."""
-    n, W = len(H), H.shape[1] // len(H)
-    h, K = H.reshape(n, n, W), c.shape[2]
-    out = np.zeros((len(c), n, W), dtype=np.int64)
-    for m in range(n):
-        for a in np.flatnonzero(h[m].any(axis=0)):
-            k = min(K, W - a)
-            out[:, :, a:a + k] += h[m, :, a, None] * c[:, m, None, :k]
-    return out.reshape(len(c), n * W) % p
 
 
 def _working_precision(M: ModuleRep, Mp: ModuleRep) -> int:
@@ -561,11 +665,10 @@ def _working_precision(M: ModuleRep, Mp: ModuleRep) -> int:
 def _hom_matrix(A: ModuleRep, B: ModuleRep):
     """(Phi, M1, H, K): the matrix Phi over F_p[x]/(x^K), K = W - v'_0, of
     u -> u.M1 on B^r in the lattice coordinates of B (rows H), M1 from A's
-    factorization (`ext.build_resolution`).  A map A -> B is its values u_k
+    factorization (`build_resolution`).  A map A -> B is its values u_k
     on the generators f_k, well defined exactly when u.M1 = 0; writing
     u_k = sum_m c_(k,m) h'_m, block (k, i) of Phi holds the coordinates of
     h'_m * M1[k, i], so Hom(A, B) is the left kernel of Phi."""
-    from .ext import build_resolution  # ext imports modules
     par, n = A.params, A.params.n
     H, v = B.H, _valuations(B)
     K = par.N - v[0]
@@ -599,7 +702,6 @@ def _y_powers(B: ModuleRep) -> np.ndarray:
 
 
 def _iso_at(A: ModuleRep, B: ModuleRep) -> str:
-    from .ext import _matmul  # ext imports modules
     n, p, W = A.params.n, A.params.p, A.params.N
     phi, M1, H, K = _hom_matrix(A, B)
     u = _hom_kernel(phi, K, A.params)[0].reshape(n, len(M1), n, K)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationLimit, ParameterMismatch, PrecisionError, ShapeError
-from .ext import build_resolution
 from .invariants import validate_indices
-from .modules import ModuleRep, _from_rows, _mul_rows, _shift, indices, is_isomorphic_oracle, unflatten
+from .modules import ModuleRep, _from_rows, _mul_rows, _shift, build_resolution, indices, is_isomorphic_oracle
+from .modules import unflatten
 from .ring import RingParams, format_elem, parse_terms, required_precision
 
 
@@ -228,17 +228,17 @@ def special_ideal(nf: SpecialNormalForm, params: RingParams) -> ModuleRep:
 def normalize_special(M: ModuleRep) -> SpecialNormalForm:
     """Unique (b, j, z) of a single-jump module M, read off J = (a, y^j),
     where a = -M1[1, 0] in the matrix factorization (f, M1, M2) of
-    `ext.build_resolution`: y^j f_0 = a f_1, and a leads with x^b, as
+    `modules.build_resolution`: y^j f_0 = a f_1, and a leads with x^b, as
     y^j f_0 and f_1 lead at level j with x^(v_0) and x^(v_0 - b).
 
     J ~ M, with no x-division: a and y^j satisfy the columns of M1
     (y^j a - a y^j = 0 and y^n = 0), so they map coker(M1) = M onto J, and
     the images of the F_p[[x]]-basis y^t e_i of coker(M1), y^t a (t < j) and
     y^t (j <= t < n), lead with x^b y^t, resp. y^t, like J's Hermite basis
-    (the argument in `ext`): the map is an isomorphism, and J leads with
-    x^b.  Its first lattice row e (`linalg.howell`) is then x^b plus y-terms
-    of x-degree below b: each later level's valuation is b or lower, and e
-    is reduced modulo it.  z_h is the y^h-coefficient of e, for h = 1..jbar.
+    (the argument in `build_resolution`): the map is an isomorphism, and J
+    leads with x^b.  Its first lattice row e (`linalg.howell`) is then x^b
+    plus y-terms of x-degree below b: each later level's valuation is b or
+    lower, and e is reduced modulo it.  z_h is the y^h-coefficient of e, for h = 1..jbar.
     """
     if M.ambient_rank != 1:
         raise ShapeError("normalize_special expects a plain submodule of A")

@@ -12,20 +12,18 @@ from multicurve.errors import (
     UnsupportedConfig,
     VerificationError,
 )
-from multicurve.ext import (
-    _check_complex,
-    build_resolution,
-    closed_form_ext1,
-    global_ext1_dimension,
-    local_ext1,
-    local_ext1_length,
-)
+from multicurve.ext import closed_form_ext1, global_ext1_dimension, local_ext1, local_ext1_length
 from multicurve.invariants import CurveParams, dual_indices, genus
 from multicurve.moduli import LocalConfig, PointIndices, special_point
 from multicurve.modules import (
     ModuleRep,
     _certified,
+    _check_complex,
+    _generator_levels,
+    _lattice_coords,
     _mul_rows,
+    _valuations,
+    build_resolution,
     dual_module_oracle,
     flatten,
     indices,
@@ -92,6 +90,16 @@ def _certified_homology(I: ModuleRep) -> int:
     return _certified(I.params.N, lambda k: _ext1_by_homology(lift_module(I, k)))
 
 
+FACTORIZATION_CASES = [
+    (2, (2,), {}, 3),
+    (3, (1, 3), {(3, 1): (1, 1)}, 2),
+    (4, (1, 2, 3), {}, 2),
+    (4, (1, 2, 3), {(3, 1): (1,), (4, 2): (1,)}, 3),
+    (4, (0, 1, 2), {(4, 1): (1,)}, 5),
+    (5, (0, 1, 1, 2), {(5, 3): (2,)}, 3),
+]
+
+
 class TestBuildResolution:
     def test_ribbon_matrix_shape(self):
         # (x^3, y): y*x^3 = x^3*y, so M1 = [[y, 0], [-x^3, y]] and adj(M1) = [[y, 0], [x^3, y]]
@@ -120,14 +128,7 @@ class TestBuildResolution:
         assert elems(f, par) == [parse_elem(t, par) for t in ("x^2+y", "x*y", "y^2")]
         assert elems(M1, par)[2][0] == -parse_elem("1", par)
 
-    @pytest.mark.parametrize("n,beta,alpha,p", [
-        (2, (2,), {}, 3),
-        (3, (1, 3), {(3, 1): (1, 1)}, 2),
-        (4, (1, 2, 3), {}, 2),
-        (4, (1, 2, 3), {(3, 1): (1,), (4, 2): (1,)}, 3),
-        (4, (0, 1, 2), {(4, 1): (1,)}, 5),
-        (5, (0, 1, 1, 2), {(5, 3): (2,)}, 3),
-    ])
+    @pytest.mark.parametrize("n,beta,alpha,p", FACTORIZATION_CASES)
     def test_matrix_factorization(self, n, beta, alpha, p):
         # checked by RingElem arithmetic, not by the production product kernel
         par = RingParams(n, required_precision(n, max(beta)), p)
@@ -143,6 +144,30 @@ class TestBuildResolution:
         d = [M1[i][i].y_valuation() for i in range(r)]
         assert [M1[i][i] for i in range(r)] == [RingElem.monomial(par, 1, 0, e) for e in d]
         assert sum(d) == n
+
+    @pytest.mark.parametrize("n,beta,alpha,p", FACTORIZATION_CASES)
+    def test_m1_is_read_off_the_basis_y_t_f_k(self, n, beta, alpha, p):
+        # the coordinates of y^(d_i) f_i in the triangular basis y^t f_k
+        # (not H) rebuild it by RingElem arithmetic, and minus the ones at
+        # the levels of f_k are M1[k, i] below the diagonal
+        par = RingParams(n, required_precision(n, max(beta)), p)
+        I = ideal_from_indices(make_general_form(n, beta, alpha), par)
+        f, M1, _ = build_resolution(I)
+        v = _valuations(I)
+        gens = _generator_levels(v)
+        gaps = np.diff(gens + [n])
+        ys = [RingElem.monomial(par, 1, 0, t) for t in range(n + 1)]
+        basis = [ys[t] * elems(f[k], par) for k, d in enumerate(gaps) for t in range(d)]
+        targets = [ys[d] * elems(f[i], par) for i, d in enumerate(gaps)]
+        c = _lattice_coords(np.array([flatten(g, par, 1) for g in targets]),
+                            np.array([flatten(g, par, 1) for g in basis]), v, par.N, p)
+        for i, target in enumerate(targets):
+            polys = [RingElem(par, [row.tolist()] + [[0] * par.N] * (n - 1)) for row in c[i]]
+            assert sum((a * g for a, g in zip(polys, basis)), RingElem.zero(par)) == target
+            for k in range(i + 1, len(gens)):
+                entry = M1[k, i].reshape(n, par.N)
+                assert np.array_equal(entry[: gaps[k]], -c[i, gens[k]:gens[k] + gaps[k]] % p)
+                assert not entry[gaps[k]:].any()
 
     def test_complex_property_enforced(self):
         par = RingParams(2, 12, 2)
@@ -203,7 +228,7 @@ class TestKeptFactorization:
         def failing(*args):
             raise VerificationError("resolution is not a complex")
 
-        monkeypatch.setattr("multicurve.ext._check_complex", failing)
+        monkeypatch.setattr("multicurve.modules._check_complex", failing)
         M = mod(RingParams(3, 18, 2), "x^2+y", "x*y", "y^2")
         for _ in range(2):
             with pytest.raises(VerificationError):
@@ -219,7 +244,7 @@ class TestKeptFactorization:
             checked.append(f)
             _check_complex(f, M1, M2, params)
 
-        monkeypatch.setattr("multicurve.ext._check_complex", spy)
+        monkeypatch.setattr("multicurve.modules._check_complex", spy)
         par = RingParams(4, required_precision(4, 2), 3)
         M = special_ideal(make_special_form(4, 2, 2, [[1, 1]]), par)
         x = parse_elem("x", par)

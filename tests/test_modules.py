@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import ext1_special_closed_form, naive_closure, naive_span_dim, special_stalks, x_scaled_copy
 
 from multicurve import linalg
-from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, VerificationError
-from multicurve.ext import build_resolution, local_ext1, local_ext1_length
+from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, PrecisionError, VerificationError
+from multicurve.ext import local_ext1, local_ext1_length
 from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
@@ -15,10 +15,15 @@ from multicurve.modules import (
     _generator_rows,
     _hom_kernel,
     _hom_matrix,
+    _lattice_coords,
     _mul_rows,
     _shift,
+    _span,
+    _valuations,
+    build_resolution,
     dual_module_oracle,
     first_filtration,
+    flatten,
     format_module,
     full_ring,
     graded_report,
@@ -36,6 +41,7 @@ from multicurve.modules import (
 )
 from multicurve.normal_form import (
     ideal_from_indices,
+    iter_normal_forms,
     make_general_form,
     make_special_form,
     normalize_special,
@@ -484,6 +490,78 @@ def test_dual_precision_rule_matches_doubling(M):
     # factorization read at max(N, n*v) must span the same space
     for N in (M.params.N, M.params.N + 2):
         assert dual_module_oracle(lift_module(M, N)).num == _dual_rows_by_doubling(M, N)
+
+
+def _dual_cases():
+    """Every normal form of (3, 2, 2), (4, 1, 2) and (4, 2, 2) at N_min, the
+    single-jump stalks of `verify ext`, and (x^k + y, y^j) below n*k."""
+    for n, top, p in ((3, 2, 2), (4, 1, 2), (4, 2, 2)):
+        par = RingParams(n, required_precision(n, top), p)
+        yield from (ideal_from_indices(form, par) for form in iter_normal_forms(n, top, p))
+    for n in (2, 3, 4):
+        par = RingParams(n, required_precision(n, 2), 2)
+        yield from (special_ideal(make_special_form(n, b, j), par) for j in range(1, n) for b in (1, 2))
+    for n, k, j, p in ((3, 2, 1, 2), (3, 4, 2, 3), (4, 2, 2, 2), (4, 3, 1, 3), (4, 3, 3, 2)):
+        for N in range(k + 1, n * k, 2):
+            yield mod(RingParams(n, N, p), f"x^{k}+y", f"y^{j}")
+
+
+def test_dual_keeps_the_truncated_column():
+    # the dual's generators are column 0 of M2 cut to N, its H is their span
+    # as before, and the lift from the column is the lift from H (the
+    # argument in `dual_module_oracle`), below n*v too
+    checked = 0
+    for M in _dual_cases():
+        par, v = M.params, _valuations(M)[0]
+        try:
+            D = dual_module_oracle(M)
+        except PrecisionError:
+            continue
+        col = build_resolution(lift_module(M, max(par.N, par.n * v)))[2][:, 0]
+        rows = col.reshape(len(col), par.n, -1)[..., : par.N].reshape(len(col), -1)
+        assert D.gens == tuple(unflatten(g, par, 1) for g in rows)
+        assert np.array_equal(D.H, _span(rows, par, 1))
+        bare = ModuleRep(par, 1, D.H)
+        assert np.array_equal(lift_module(D, par.N + 2).H, lift_module(bare, par.N + 2).H)
+        checked += 1
+    assert checked == 90  # of 91: the dual of (x^2 + y, y^2) at n = 4, N = 3 is refused
+
+
+class TestLatticeCoords:
+    def test_padded_to_the_full_precision(self):
+        # K = N > N - v_0: the coordinates of H in itself are the identity,
+        # zero-padded past each row's N - v_l exact degrees
+        M = mod(P3, "x^2+y", "x*y", "y^2")
+        v = _valuations(M)
+        assert v == (2, 1, 0)
+        c = _lattice_coords(M.H, M.H, v, P3.N, P3.p)
+        assert c.shape == (3, 3, P3.N)
+        expected = np.zeros_like(c)
+        expected[range(3), range(3), 0] = 1
+        assert np.array_equal(c, expected)
+
+    def test_a_row_outside_the_lattice_is_refused(self):
+        M = mod(P3, "x^2+y", "x*y", "y^2")
+        x = flatten(parse_elem("x", P3), P3, 1)[None]
+        with pytest.raises(VerificationError, match=r"y-level 0 is not divisible by x\^2"):
+            _lattice_coords(x, M.H, _valuations(M), P3.N - 2, P3.p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(special_stalks(), normal_form_copies().map(lambda case: case[0])), st.integers(0, 2**32 - 1))
+def test_lattice_coords_round_trip(M, seed):
+    # random F_p[x]-combinations of H's rows come back as their coefficients
+    # mod x^K, K = N - v_0; at K = N the padded coordinates rebuild the rows
+    par, v = M.params, _valuations(M)
+    assume(len(v) == par.n)
+    K = par.N - v[0]
+    c = np.random.default_rng(seed).integers(0, par.p, size=(3, par.n, K))
+    rows = _from_lattice_coords(c, M.H, par.p)
+    assert np.array_equal(_lattice_coords(rows, M.H, v, K, par.p), c)
+    full = _lattice_coords(rows, M.H, v, par.N, par.p)
+    assert np.array_equal(full[..., :K], c)
+    assert all(not full[:, l, par.N - v[l]:].any() for l in range(par.n))
+    assert np.array_equal(_from_lattice_coords(full, M.H, par.p), rows)
 
 
 class TestIsomorphismOracle:

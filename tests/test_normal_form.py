@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import general_form_generators, special_form_generators
 
 from multicurve.errors import DomainError, EnumerationLimit, PrecisionError, ShapeError
-from multicurve.ext import build_resolution
-from multicurve.modules import indices, is_isomorphic_oracle, span_from_generators, unflatten
+from multicurve.modules import build_resolution, indices, is_isomorphic_oracle, span_from_generators, unflatten
 from multicurve.normal_form import (
     EnumeratedModule,
     GeneralNormalForm,
