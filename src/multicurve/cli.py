@@ -131,9 +131,6 @@ def cmd_components(args) -> int:
     cp = _curve(args)
     comps = mo.enumerate_components(cp)
     conn = mo.connectivity(cp)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(mo.write_dot(conn))
     payload = {
         "curve": {"n": cp.n, "g1": cp.g1, "delta": cp.delta, "degree": cp.degree},
         "genus": cp.genus,
@@ -142,6 +139,10 @@ def cmd_components(args) -> int:
     }
     if args.conjecture:
         payload["conjecture"] = mo.conjecture_report_n3(cp)
+    # written once the whole answer is built: the report refuses n != 3
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(mo.write_dot(conn))
     if args.format == "table":
         print(f"# n={cp.n} g1={cp.g1} delta={cp.delta} D={cp.degree} genus={cp.genus}")
         print(f"{'beta':>16}  {'dim':>5}  {'tangent':>7}  {'divisible':>9}")

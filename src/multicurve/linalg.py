@@ -2,11 +2,11 @@
 
 Everything over F_p derives from one Gauss-Jordan routine, `_rref`:
 `Subspace` keeps its basis in the reduced row echelon form that `_rref`
-returns (or that `from_rref` is handed), and `nullspace` and `rank` read
-their answers off it.  Over F_p[x]/(x^K) there are two routines, both
-minimal-valuation pivoting: `poly_eliminate` (Smith valuations and the
-kernel) and `howell` (the reduced Howell form of a span); their docstrings
-have their exactness arguments.
+returns (or that `from_rref` is handed), and `rank` reads its answer off
+it.  Over F_p[x]/(x^K) there are two routines, both minimal-valuation
+pivoting: `poly_eliminate` (Smith valuations and the kernel) and `howell`
+(the reduced Howell form of a span); their docstrings have their exactness
+arguments.
 
 Exactness: all matrices hold residues in [0, p), and p < 2^16 (RingParams
 enforces it).  The largest intermediate value is an accumulated product of
@@ -132,9 +132,6 @@ class Subspace:
         _subtract_product(out, out[:, self._pivots], self._rows, self.p)
         return out.reshape(rows.shape)
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
     def insert(self, rows) -> bool:
         """Add a block of rows to the space. Returns True if the dimension grew."""
         new, piv = _rref(self.reduce(np.atleast_2d(rows)), self.p)
@@ -150,26 +147,6 @@ class Subspace:
         self._pivots = _frozen(np.insert(self._pivots, at, piv))
         return True
 
-    def leq(self, other: "Subspace") -> bool:
-        return not other.reduce(self._rows).any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if (self.p, self.width, self.dim) != (other.p, other.width, other.dim):
-            return False
-        return bool(np.array_equal(self._rows, other._rows))
-
-    def __hash__(self):
-        return hash((self.p, self.width, self._rows.tobytes()))
-
-
-def span(mat, p: int, width: int | None = None) -> Subspace:
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    sub = Subspace(p, mat.shape[1] if width is None else width)
-    sub.insert(mat)
-    return sub
-
 
 def from_rref(rows: np.ndarray, p: int) -> Subspace:
     """The Subspace with basis `rows`, taken as they are, with no elimination.
@@ -184,17 +161,6 @@ def from_rref(rows: np.ndarray, p: int) -> Subspace:
     sub._rows = _frozen(rows)
     sub._pivots = _frozen((rows != 0).argmax(axis=1))
     return sub
-
-
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : mat @ x = 0 mod p}, one row per free column."""
-    rows, piv = _rref(mat, p)
-    k = rows.shape[1]
-    free = np.setdiff1d(np.arange(k), piv)
-    basis = np.zeros((free.size, k), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, piv] = (-rows[:, free].T) % p
-    return basis
 
 
 def rank(mat, p: int) -> int:

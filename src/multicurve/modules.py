@@ -23,10 +23,14 @@ read-only); `gens` unflattens them into ring elements only when asked.
 
 Lifts (`lift_module`), the dual and the pure quotients are Howell forms too.
 What depends on M alone is built on first use and kept on M: its lifts, its
-matrix factorization (`build_resolution`), y on M/xM (`_y_powers`) and
-`num`, the RREF over F_p, read only by `indices_by_definition`, `validate`
-and the F_p queries.  The x-multiples of h_b, reduced against the rows of
-the later blocks, are its rows at the pivots of block b.
+matrix factorization (`build_resolution`) and y on M/xM (`_y_powers`).
+Membership, submodule and closure checks (`contains`, `quotient_length`,
+`validate`) are one Howell form each (`_holds`): H is unique to its span, so
+rows lie in M exactly when adding them leaves H as it is.  The RREF over F_p
+(`_fp_basis`) is built only for the definitional check
+`indices_by_definition` and for `basis_vectors`: the x-multiples of h_b,
+reduced against the rows of the later blocks, are its rows at the pivots of
+block b.
 
 Length-valued outputs (graded ranks/torsions, indices, dual indices) are
 certified by recomputing at precision N+2 and demanding agreement; the
@@ -138,11 +142,18 @@ def _leads(H: np.ndarray) -> np.ndarray:
     return (H != 0).argmax(axis=1)
 
 
+def _holds(M: ModuleRep, rows: np.ndarray) -> bool:
+    """Whether flat rows lie in the F_p[x]-span of M's lattice rows H: the
+    reduced Howell form is unique to its span, so adding the rows leaves H
+    as it is exactly when they lie in it (and H is a reduced Howell form)."""
+    return np.array_equal(linalg.howell(np.vstack([M.H, rows]), M.params.p, M.params.N), M.H)
+
+
 class ModuleRep:
     """A submodule of A^r stored as its lattice rows H (`linalg.howell`),
     with the flat rows of its generators when it was built from them."""
 
-    __slots__ = ("params", "ambient_rank", "H", "gen_rows", "lifts", "_num", "resolution", "y_powers")
+    __slots__ = ("params", "ambient_rank", "H", "gen_rows", "lifts", "resolution", "y_powers")
 
     def __init__(self, params, ambient_rank, H, gen_rows=None):
         self.params = params
@@ -150,25 +161,7 @@ class ModuleRep:
         self.H = linalg._frozen(H)
         self.gen_rows = None if gen_rows is None else linalg._frozen(gen_rows)
         self.lifts = {}  # precision -> lift, filled by `lift_module`
-        self._num = None  # the RREF, built by `num` on first use
         self.resolution = self.y_powers = None  # filled by `build_resolution`, `_y_powers`
-
-    @property
-    def num(self) -> linalg.Subspace:
-        """The RREF basis of the F_p-span, built on first use and kept: the
-        x-multiples of each lattice row, reduced from the last block on
-        against the rows already built, which they leave in RREF."""
-        if self._num is None:
-            N, p = self.params.N, self.params.p
-            sub = linalg.Subspace(p, self.width)
-            for h, v in zip(self.H[::-1], _leads(self.H)[::-1] % N):
-                # x^a h for a < N - v: windows over h's blocks, N zeros in front
-                blocks = np.pad(h.reshape(-1, N), ((0, 0), (N, 0)))
-                xs = np.lib.stride_tricks.sliding_window_view(blocks, N, axis=1)[:, N - np.arange(N - v)]
-                xs = xs.transpose(1, 0, 2).reshape(N - v, -1)
-                sub = linalg.from_rref(np.vstack([sub.reduce(xs), sub.rows()]), p)
-            self._num = sub
-        return self._num
 
     @property
     def gens(self) -> tuple[tuple[RingElem, ...], ...] | None:
@@ -190,18 +183,18 @@ class ModuleRep:
         return not len(self.H)
 
     def basis_vectors(self) -> list[tuple[RingElem, ...]]:
-        return [unflatten(r, self.params, self.ambient_rank) for r in self.num.rows()]
+        return [unflatten(r, self.params, self.ambient_rank) for r in _fp_basis(self).rows()]
 
     def contains(self, vec) -> bool:
-        return self.num.contains(flatten(vec, self.params, self.ambient_rank))
+        return _holds(self, flatten(vec, self.params, self.ambient_rank))
 
     def validate(self) -> None:
-        """Check x,y-closure of the span (used by tests and parsers)."""
-        rows = self.num.rows()
-        shifted = np.vstack([_shift(rows, self.params, self.ambient_rank, 1, 0),
-                             _shift(rows, self.params, self.ambient_rank, 0, 1)])
-        if self.num.reduce(shifted).any():
-            raise ContainmentError("subspace is not closed under the ring action")
+        """Check that H is the reduced Howell form of an A-submodule: the
+        Howell form of H and its y-multiples is H itself.  x-closure is
+        automatic for an F_p[x]-span.  ModuleRep takes H as it is given, so
+        this is the check for lattice rows built by hand."""
+        if not _holds(self, _shift(self.H, self.params, self.ambient_rank, 0, 1)):
+            raise ContainmentError("lattice rows are not the reduced Howell form of an A-submodule")
 
     def __repr__(self):
         return (f"<module of A^{self.ambient_rank} over {self.params}, "
@@ -292,17 +285,32 @@ def _piece(M: ModuleRep, which: str, k: int) -> np.ndarray:
     raise DomainError(f"unknown filtration {which!r}; use 'first' or 'second'")
 
 
-def _filtration(M: ModuleRep, which: str, k: int) -> linalg.Subspace:
+def _fp_basis(M: ModuleRep) -> linalg.Subspace:
+    """The RREF basis of M over F_p, for `indices_by_definition` and
+    `basis_vectors`: the x-multiples of each lattice row, reduced from the
+    last block on against the rows already built, which they leave in RREF."""
+    N, p = M.params.N, M.params.p
+    sub = linalg.Subspace(p, M.width)
+    for h, v in zip(M.H[::-1], _leads(M.H)[::-1] % N):
+        # x^a h for a < N - v: windows over h's blocks, N zeros in front
+        blocks = np.pad(h.reshape(-1, N), ((0, 0), (N, 0)))
+        xs = np.lib.stride_tricks.sliding_window_view(blocks, N, axis=1)[:, N - np.arange(N - v)]
+        xs = xs.transpose(1, 0, 2).reshape(N - v, -1)
+        sub = linalg.from_rref(np.vstack([sub.reduce(xs), sub.rows()]), p)
+    return sub
+
+
+def _filtration(M: ModuleRep, basis: linalg.Subspace, which: str, k: int) -> linalg.Subspace:
     """The span of y^k M ('first') or ann_M(y^k) ('second'), sliced off M's
-    RREF with no elimination (for `indices_by_definition`).
+    RREF basis (`_fp_basis`) with no elimination (for `indices_by_definition`).
 
     y^k kills exactly the part of M in y^(n-k) A^r, which the RREF rows with
     a pivot at level n - k or later span.  The other rows map to rows whose
     pivots move k levels on: still an RREF basis, now of y^k M.
     """
-    par, rank, rows = M.params, M.ambient_rank, M.num.rows()
+    par, rank, rows = M.params, M.ambient_rank, basis.rows()
     # the number of rows whose pivot lies below y-level n - k
-    cut = np.searchsorted(M.num.pivots, (par.n - k) * rank * par.N)
+    cut = np.searchsorted(basis.pivots, (par.n - k) * rank * par.N)
     if which == "first":
         block = _shift(rows[:cut], par, rank, 0, k)
     elif which == "second":
@@ -326,7 +334,7 @@ def quotient_length(M: ModuleRep, Msub: ModuleRep) -> int:
     """Length of M/Msub; Msub must be contained in M."""
     if M.params != Msub.params or M.ambient_rank != Msub.ambient_rank:
         raise ParameterMismatch("quotient operands live in different ambients")
-    if not Msub.num.leq(M.num):
+    if not _holds(M, Msub.H):
         raise ContainmentError("second module is not a submodule of the first")
     return M.length() - Msub.length()
 
@@ -434,11 +442,12 @@ def _indices_by_definition_single(M: ModuleRep) -> tuple[int, ...]:
     # M^(m-i), and y^i M-bar is y^i M + M^(m-i-1).  One shifted copy of the
     # RREF (y^i M) is alive at a time.
     m = _support_depth(_valuations(M))
+    basis = _fp_basis(M)
     out = []
     for i in range(1, m):
-        s2 = _filtration(M, "second", m - i - 1)
-        s2.insert(_filtration(M, "first", i).rows())
-        beta = _filtration(M, "second", m - i).dim - s2.dim
+        s2 = _filtration(M, basis, "second", m - i - 1)
+        s2.insert(_filtration(M, basis, "first", i).rows())
+        beta = _filtration(M, basis, "second", m - i).dim - s2.dim
         if beta < 0:
             raise PrecisionError("definitional index extraction unstable; raise N")
         out.append(beta)

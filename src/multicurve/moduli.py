@@ -182,21 +182,19 @@ def iter_monotone_sum_below(length: int, strict_bound: int):
         yield from rec(0, 0, strict_bound - 1)
 
 
-def enumerate_components(cp: CurveParams) -> list[ComponentDescriptor]:
-    """All admissible labels; the i=1 inequality bounds sum(beta) < n(n-1)/2 delta."""
+def _stable_labels(cp: CurveParams) -> list[tuple[int, ...]]:
+    """All admissible labels, sorted; the i=1 inequality bounds sum(beta) < n(n-1)/2 delta."""
     if cp.delta <= 0:
         raise NoStableObjects("stable generalized line bundles require delta > 0")
     n = cp.n
     bound = n * (n - 1) // 2 * cp.delta
-    out = []
-    for beta in iter_monotone_sum_below(n - 1, bound):
-        if not degree_congruence_ok(cp, beta):
-            continue
-        if not check_stability(cp, beta).stable:
-            continue
-        out.append(describe_component(cp, beta))
-    out.sort(key=lambda c: c.beta)
-    return out
+    return sorted(beta for beta in iter_monotone_sum_below(n - 1, bound)
+                  if degree_congruence_ok(cp, beta) and check_stability(cp, beta).stable)
+
+
+def enumerate_components(cp: CurveParams) -> list[ComponentDescriptor]:
+    """The descriptor of every admissible label (`_stable_labels`)."""
+    return [describe_component(cp, beta) for beta in _stable_labels(cp)]
 
 
 # -- dimension formulas ----------------------------------------------------
@@ -436,8 +434,7 @@ def connectivity(cp: CurveParams) -> ConnectivityResult:
     A count above 1 means 'not proven connected by these moves', never a
     disconnectedness proof; `truncated` says whether a cap cut the search.
     """
-    comps = enumerate_components(cp)
-    labels = [c.beta for c in comps]
+    labels = _stable_labels(cp)
     labelset = set(labels)
     if not labels:
         return ConnectivityResult((), (), 0, (), False, 0)

@@ -9,11 +9,16 @@ rows off an RREF basis, and `general_form_generators` and
 arithmetic.  `divide_by_x_power`,
 `x_scaled_copy` and the `special_stalks` strategy are the builders here:
 they make stalks and isomorphic copies through the production span.
+
+`span`, `nullspace`, `fp_equal` and `fp_leq` are F_p references on the
+package's own elimination (`linalg.Subspace`, `linalg._rref`), and
+`linalg`'s tests check them against the pure-Python elimination here.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from multicurve import linalg
 from multicurve.errors import DomainError
 from multicurve.modules import ModuleRep, _span, span_from_generators, unflatten
 from multicurve.normal_form import make_special_form, special_ideal
@@ -106,6 +111,35 @@ def naive_span_dim(gens, params: RingParams) -> int:
 
 def naive_quotient_length(gens_big, gens_small, params: RingParams) -> int:
     return naive_span_dim(gens_big, params) - naive_span_dim(gens_small, params)
+
+
+def span(mat, p, width=None):
+    """The Subspace spanned by the rows of mat, by `Subspace.insert`."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    sub = linalg.Subspace(p, mat.shape[1] if width is None else width)
+    sub.insert(mat)
+    return sub
+
+
+def nullspace(mat, p):
+    """Basis (as rows) of {x : mat @ x = 0 mod p}, one row per free column."""
+    rows, piv = linalg._rref(mat, p)
+    k = rows.shape[1]
+    free = np.setdiff1d(np.arange(k), piv)
+    basis = np.zeros((free.size, k), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-rows[:, free].T) % p
+    return basis
+
+
+def fp_equal(a, b):
+    """Whether two Subspaces are equal: their RREF bases are identical."""
+    return (a.p, a.width) == (b.p, b.width) and np.array_equal(a.rows(), b.rows())
+
+
+def fp_leq(a, b):
+    """Whether the Subspace a lies in b: b leaves no residue of a's rows."""
+    return not b.reduce(a.rows()).any()
 
 
 # The paper's closed forms for the local Ext^1 length, written out here so the

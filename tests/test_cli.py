@@ -251,6 +251,14 @@ class TestComponentsCommand:
         assert main(["components", "--n", "3", "--delta", "0", "--g1", "2",
                      "--degree", "0"]) == 1
 
+    def test_refused_conjecture_writes_no_dot_file(self, capsys, tmp_path):
+        # the report is for n = 3 only; refusing it must leave no file behind
+        dot = tmp_path / "graph.gv"
+        assert main(["components", "--n", "4", "--delta", "1", "--degree", "0",
+                     "--conjecture", "--dot", str(dot)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not dot.exists()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):

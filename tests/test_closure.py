@@ -5,22 +5,25 @@ pure-Python elimination), of the lattice rows (`helpers.lattice_rows`) that
 regenerate a closed space, and of the two filtrations of a closed space with
 their definitions.
 
-The RREF of a space is unique, so the lazy `num` of a module must match the
-naive closure row for row, and its lattice rows must be the Howell rows.
+The RREF of a space is unique, so the F_p basis of a module (`_fp_basis`)
+must match the naive closure row for row, and its lattice rows must be the
+Howell rows.
 p = 65521 is the largest prime RingParams admits.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicurve import linalg
+from multicurve.errors import ContainmentError
 from multicurve.modules import (
-    ModuleRep, _shift, first_filtration, flatten, lift_module, second_filtration,
+    ModuleRep, _fp_basis, _shift, first_filtration, flatten, lift_module, quotient_length, second_filtration,
     span_from_generators, unflatten,
 )
 from multicurve.ring import RingElem, RingParams
 
-from helpers import lattice_rows, naive_closure, rref_rows
+from helpers import fp_equal, fp_leq, lattice_rows, naive_closure, rref_rows, span
 
 PRIMES = [2, 3, 65521]
 
@@ -52,7 +55,7 @@ def naive(rows, params, rank):
 def assert_is_closure(rows, params, rank):
     M = span_of(rows, params, rank)
     expected = naive(rows, params, rank)
-    assert np.array_equal(M.num.rows(), expected)
+    assert np.array_equal(_fp_basis(M).rows(), expected)
     assert M.length() == len(expected)
     return M
 
@@ -87,9 +90,9 @@ def test_closure_of_a_padded_lift(block, extra):
     bare = ModuleRep(params, rank, M.H)
     big = params.with_precision(params.N + extra)
     lift = lift_module(bare, big.N)
-    assert np.array_equal(lift.num.rows(), naive(pad(M.H, params, rank, big), big, rank))
+    assert np.array_equal(_fp_basis(lift).rows(), naive(pad(M.H, params, rank, big), big, rank))
     if rank == 1:
-        assert np.array_equal(lift.num.rows(), naive(pad(M.num.rows(), params, rank, big), big, rank))
+        assert np.array_equal(_fp_basis(lift).rows(), naive(pad(_fp_basis(M).rows(), params, rank, big), big, rank))
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,7 +132,7 @@ def test_a_single_level_when_n_is_1():
 def test_lattice_rows_regenerate_a_closed_space(block):
     params, rank, rows = block
     M = span_of(rows, params, rank)
-    sub = M.num
+    sub = _fp_basis(M)
     lattice = lattice_rows(sub, params)
     assert np.array_equal(lattice, M.H)
     # one row per (y-level, component) block that holds a pivot, at its first pivot
@@ -139,7 +142,7 @@ def test_lattice_rows_regenerate_a_closed_space(block):
     assert [int(np.flatnonzero(row)[0]) for row in lattice] == firsts
     # their x-multiples alone span the space, so their span gives it back
     xs = np.vstack([_shift(lattice, params, rank, a, 0) for a in range(params.N)])
-    assert linalg.span(xs, params.p, sub.width) == sub
+    assert fp_equal(span(xs, params.p, sub.width), sub)
     assert span_of(lattice, params, rank) == M
     assert np.array_equal(sub.rows(), naive(lattice, params, rank))
 
@@ -155,9 +158,48 @@ def test_filtrations_match_their_definitions(block):
         y_k = RingElem.monomial(params, 1, 0, k)
         multiples = rref_rows([flatten(tuple(y_k * e for e in v), params, rank).tolist()
                                for v in M.basis_vectors()], params.p)
-        assert first[k].num.rows().tolist() == multiples
+        assert _fp_basis(first[k]).rows().tolist() == multiples
         # ann_M(y^k) lies in M, is killed by y^k, and is the kernel of y^k on M
         ann = second[k]
-        assert ann.num.leq(M.num)
+        assert fp_leq(_fp_basis(ann), _fp_basis(M))
         assert all((y_k * e).is_zero() for v in ann.basis_vectors() for e in v)
         assert ann.length() == M.length() - len(multiples)
+
+
+
+def _fp_holds(sub, rows):
+    """Whether flat rows lie in the F_p-span `sub`, by reducing against its RREF."""
+    return not sub.reduce(np.atleast_2d(rows)).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks(max_rows=2), st.data())
+def test_lattice_checks_match_the_fp_reference(block, data):
+    # contains, quotient_length's submodule check and validate, which read H
+    # alone, against the RREF over F_p; k = 0 rows gives the zero module
+    params, rank, rows = block
+    p, M = params.p, span_of(rows, params, rank)
+    fp = _fp_basis(M)
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=2 * M.width, max_size=2 * M.width))
+    extra = np.array(cells, dtype=np.int64).reshape(2, M.width)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    members = rng.integers(0, p, (2, fp.dim)) @ fp.rows() % p  # elements of M, not generators
+    for vec in np.vstack([rows, extra, members, (members + extra) % p]):
+        assert M.contains(unflatten(vec, params, rank)) == _fp_holds(fp, vec)
+    for gens in (members, rows[: len(rows) // 2], np.vstack([members, extra[:1]])):
+        sub = _fp_basis(span_of(gens, params, rank))
+        if _fp_holds(fp, sub.rows()):
+            assert quotient_length(M, span_of(gens, params, rank)) == fp.dim - sub.dim
+        else:
+            with pytest.raises(ContainmentError, match="not a submodule"):
+                quotient_length(M, span_of(gens, params, rank))
+    # validate passes exactly when H is the lattice rows of an x,y-closed F_p-span
+    for H in (M.H, rows, np.vstack([M.H, extra[:1]]), M.H[1:], M.H[::-1], (M.H + extra[0]) % p):
+        span_H = span(np.vstack([_shift(H, params, rank, a, 0) for a in range(params.N)]), p, M.width)
+        closed = _fp_holds(span_H, _shift(span_H.rows(), params, rank, 0, 1))
+        expected = closed and np.array_equal(lattice_rows(span_H, params), H)
+        try:
+            ModuleRep(params, rank, H.copy()).validate()
+            assert expected
+        except ContainmentError:
+            assert not expected

@@ -19,6 +19,7 @@ from multicurve.modules import (
     ModuleRep,
     _certified,
     _check_complex,
+    _fp_basis,
     _generator_levels,
     _lattice_coords,
     _mul_rows,
@@ -66,8 +67,8 @@ def ring_matmul(A, B, par):
 
 def _hom_action_matrix(res_mat, I):
     """Matrix of phi -> phi o M on Hom(A^r, I) = I^r in I-basis coordinates."""
-    basis = I.num.rows()
-    pivots = list(I.num.pivots)
+    fp = _fp_basis(I)
+    basis, pivots = fp.rows(), list(fp.pivots)
 
     def block(e):
         # column t: coordinates of e * (basis row t); valid as the basis is in RREF

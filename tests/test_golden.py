@@ -22,6 +22,7 @@ from multicurve.errors import MultiCurveError
 from multicurve.ext import local_ext1_length
 from multicurve.modules import (
     ModuleRep,
+    _fp_basis,
     dual_module_oracle,
     graded_report,
     indices,
@@ -72,7 +73,7 @@ def _z_grid(n, b, j, p, seed):
 
 
 def _digest(M):
-    return hashlib.sha256(M.num.rows().tobytes()).hexdigest()[:16]
+    return hashlib.sha256(_fp_basis(M).rows().tobytes()).hexdigest()[:16]
 
 
 def _runs(pivots):
@@ -96,7 +97,7 @@ def _or_error(compute):
 
 def _dual_record(M):
     D = dual_module_oracle(M)
-    return {"indices": list(indices(D)), "pivots": _runs(D.num.pivots), "digest": _digest(D)}
+    return {"indices": list(indices(D)), "pivots": _runs(_fp_basis(D).pivots), "digest": _digest(D)}
 
 
 def _disguised(M, unit_text):

@@ -1,4 +1,5 @@
-"""The package's layers import each other without a cycle."""
+"""The package's layers import each other without a cycle, and the F_p
+echelon layer has one client: the definitional index check."""
 
 import ast
 import os
@@ -43,3 +44,33 @@ def test_the_factorization_lives_below_ext():
     graph = _import_graph()
     assert "ext" not in graph["modules"] | graph["normal_form"]
     assert "modules" in graph["ext"]
+
+
+# the F_p echelon layer, and the only functions outside linalg that may name it
+F_P_LAYER = {"Subspace", "from_rref", "_fp_basis"}
+F_P_CLIENTS = {"_fp_basis", "_filtration", "_indices_by_definition_single", "basis_vectors"}
+
+
+def _fp_layer_uses(node, inside=False):
+    """(line, name) of each use of an F_p-layer name outside F_P_CLIENTS."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside or node.name in F_P_CLIENTS
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if isinstance(node, ast.alias):
+        name = node.name
+    found = [(node.lineno, name)] if name in F_P_LAYER and not inside else []
+    for child in ast.iter_child_nodes(node):
+        found += _fp_layer_uses(child, inside)
+    return found
+
+
+def test_only_the_definitional_check_reads_the_fp_layer():
+    pkg = os.path.dirname(os.path.abspath(multicurve.__file__))
+    uses = {}
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py") and f != "linalg.py":
+            with open(os.path.join(pkg, f), encoding="utf-8") as fh:
+                found = _fp_layer_uses(ast.parse(fh.read()))
+            if found:
+                uses[f] = found
+    assert not uses, f"F_p layer named outside {sorted(F_P_CLIENTS)}: {uses}"

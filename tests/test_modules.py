@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import ext1_special_closed_form, naive_closure, naive_span_dim, special_stalks, x_scaled_copy
+from helpers import (
+    ext1_special_closed_form, fp_equal, fp_leq, naive_closure, naive_span_dim, nullspace, span, special_stalks,
+    x_scaled_copy,
+)
 
 from multicurve import linalg
 from multicurve.errors import ContainmentError, DomainError, NotInvertibleError, PrecisionError, VerificationError
@@ -11,6 +14,7 @@ from multicurve.invariants import dual_indices
 from multicurve.modules import (
     ModuleRep,
     _certified,
+    _fp_basis,
     _from_lattice_coords,
     _generator_rows,
     _hom_kernel,
@@ -90,6 +94,20 @@ class TestSpan:
     def test_closure_is_validated(self, monomial_ideal):
         monomial_ideal.validate()
 
+    def test_validate_refuses_rows_that_are_not_the_howell_form(self):
+        # p = 3, n = 2, N = 2: flat index 2*i + a holds x^a y^i
+        par = RingParams(2, 2, 3)
+        one, one_plus_y, y = [1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0]
+        ModuleRep(par, 1, np.array([one, y])).validate()
+        bad = (
+            [one, one_plus_y],  # two rows led in one block
+            [one_plus_y, y],  # unreduced: spans A, whose Howell form is (1, y)
+            [one],  # not y-closed
+        )
+        for rows in bad:
+            with pytest.raises(ContainmentError, match="reduced Howell form"):
+                ModuleRep(par, 1, np.array(rows)).validate()
+
 
 class TestQuotientLength:
     def test_cyclic_quotients(self):
@@ -150,9 +168,9 @@ class TestFiltrations:
             step = span_from_generators(
                 [parse_elem("y", P3) * e[0] for e in ff[i].basis_vectors()],
                 params=P3)
-            assert step.num == ff[i + 1].num
+            assert fp_equal(_fp_basis(step), _fp_basis(ff[i + 1]))
             # y^i M is killed by y^(n-i)
-            assert ff[i].num.leq(sf[n - i].num)
+            assert fp_leq(_fp_basis(ff[i]), _fp_basis(sf[n - i]))
 
 
 def _rank_two_invariants_refused(M):
@@ -446,7 +464,7 @@ def _colon(target, M):
     par = M.params
     grid = np.eye(par.n * par.N, dtype=np.int64)
     blocks = [target.reduce(_mul_rows(g, grid, par, 1)).T for g in _generator_rows(M)]
-    return linalg.nullspace(np.vstack(blocks), par.p)
+    return nullspace(np.vstack(blocks), par.p)
 
 
 def _iso_by_colon(M, Mp, N_target):
@@ -457,16 +475,16 @@ def _iso_by_colon(M, Mp, N_target):
     par = M.params.with_precision(N_target)
     A, B = lift_module(M, N_target), lift_module(Mp, N_target)
     p, L = par.p, par.n * par.N
-    u_row = A.num.rows()[0]
-    W = linalg.span(_mul_rows(u_row, B.num.rows(), par, 1), p, L)
-    Wm = linalg.span(np.vstack([_shift(W.rows(), par, 1, 1, 0), _shift(W.rows(), par, 1, 0, 1)]), p, L)
+    u_row = _fp_basis(A).rows()[0]
+    W = span(_mul_rows(u_row, _fp_basis(B).rows(), par, 1), p, L)
+    Wm = span(np.vstack([_shift(W.rows(), par, 1, 1, 0), _shift(W.rows(), par, 1, 0, 1)]), p, L)
     c = W.dim - Wm.dim
-    top_cols = list(linalg.span(Wm.reduce(W.rows()), p, L).pivots)
+    top_cols = list(span(Wm.reduce(W.rows()), p, L).pivots)
     T = _colon(W, A)
     images = np.stack([Wm.reduce(_mul_rows(g, T, par, 1)) for g in _generator_rows(A)])
     for t, block in zip(T, images[:, :, top_cols].transpose(1, 0, 2)):
         if linalg.rank(block, p) == c:
-            if linalg.span(_mul_rows(t, A.num.rows(), par, 1), p, L) != W:
+            if not fp_equal(span(_mul_rows(t, _fp_basis(A).rows(), par, 1), p, L), W):
                 raise VerificationError("a map onto W / m*W does not map M onto u*M'")
             return "yes"
     return "no"
@@ -480,7 +498,7 @@ def _dual_rows_by_doubling(M, N):
     u = np.array(naive_closure(M2.H[:1], work, 1), dtype=np.int64)
     sol = _colon(linalg.from_rref(u, work.p), M2)
     sol = sol.reshape(-1, work.n, work.N)[..., :N].reshape(len(sol), -1)
-    return linalg.span(sol, work.p, work.n * N)
+    return span(sol, work.p, work.n * N)
 
 
 @settings(max_examples=30, deadline=None)
@@ -489,7 +507,7 @@ def test_dual_precision_rule_matches_doubling(M):
     # the colon at 2N is exact here (2N >= n*v), and the column of the
     # factorization read at max(N, n*v) must span the same space
     for N in (M.params.N, M.params.N + 2):
-        assert dual_module_oracle(lift_module(M, N)).num == _dual_rows_by_doubling(M, N)
+        assert fp_equal(_fp_basis(dual_module_oracle(lift_module(M, N))), _dual_rows_by_doubling(M, N))
 
 
 def _dual_cases():
@@ -729,7 +747,7 @@ class TestModuleFiles:
     def test_round_trip(self, monomial_ideal):
         text = format_module(P3, 1, [(parse_elem(t, P3),) for t in ("x^2", "x*y", "y^2")])
         M = parse_module_text(text)
-        assert M.num == monomial_ideal.num
+        assert fp_equal(_fp_basis(M), _fp_basis(monomial_ideal))
 
     def test_header_required(self):
         with pytest.raises(DomainError):
@@ -775,7 +793,7 @@ class TestModuleFiles:
     def test_faithful_terms_accepted(self):
         M = parse_module_text("ring n=2 N=12 p=7 rank=1\n6*x^11 - y\n-6*x^2 + y^2\n")
         par = RingParams(2, 12, 7)
-        assert M.num == mod(par, "6*x^11 + 6*y", "x^2").num
+        assert fp_equal(_fp_basis(M), _fp_basis(mod(par, "6*x^11 + 6*y", "x^2")))
 
 
 @st.composite
@@ -794,5 +812,5 @@ def module_specs(draw):
 def test_module_spec_round_trip(spec):
     params, rank, gens = spec
     M = parse_module_text(format_module(params, rank, gens))
-    assert M.num == span_from_generators(gens, params=params, ambient_rank=rank).num
+    assert fp_equal(_fp_basis(M), _fp_basis(span_from_generators(gens, params=params, ambient_rank=rank)))
 
